@@ -214,6 +214,44 @@ def free_vars(phi: Formula) -> set[str]:
     return free_vars(phi.body) - {phi.var}   # ExistsItem | ExistsPath
 
 
+def _structural(phi: Formula) -> bool:
+    """Quantifier-free and val-free: decided by the model's structure alone."""
+    if isinstance(phi, Not):
+        return _structural(phi.body)
+    if isinstance(phi, Or):
+        return _structural(phi.left) and _structural(phi.right)
+    return isinstance(phi, PRED_TYPES) and not isinstance(phi, ValIs)
+
+
+def guards(q: Union[ExistsItem, ExistsPath]) -> tuple[Formula, ...]:
+    """Structural conjuncts that every candidate for q.var must satisfy.
+
+    Conjuncts of q's body are collected through `a and b` (that is,
+    Not(Or(Not a, Not b))), double negation and nested existentials.  A
+    guard is a conjunct that mentions q.var, mentions no variable bound
+    inside q, and contains no val and no quantifier; it may be negated.  The
+    body implies each guard, so once the variables bound outside q are fixed,
+    a candidate that makes a guard false makes the body false.
+    """
+    out: list[Formula] = []
+
+    def collect(phi: Formula, inner: frozenset) -> None:
+        if isinstance(phi, Not) and isinstance(phi.body, Not):
+            collect(phi.body.body, inner)
+        elif isinstance(phi, Not) and isinstance(phi.body, Or):
+            for side in (phi.body.left, phi.body.right):
+                collect(side.body if isinstance(side, Not) else Not(side), inner)
+        elif isinstance(phi, (ExistsItem, ExistsPath)):
+            collect(phi.body, inner | {phi.var})
+        elif _structural(phi):
+            used = free_vars(phi)
+            if q.var in used and not used & inner:
+                out.append(phi)
+
+    collect(q.body, frozenset())
+    return tuple(out)
+
+
 # sorts accepted by each predicate argument, keyed by (predicate, position)
 _ARG_SORTS = {
     ("type", 0): set(ITEM_SORTS),

@@ -9,6 +9,16 @@ concrete path set instead, which keeps the encoding equivalent (the slot
 form is only equisatisfiable, so it must not be negated).  CNF conversion is
 a polarity-reduced Tseitin transform; its auxiliary variables are allocated
 after the semantic ones.
+
+Quantifiers are instantiated guard-first.  Each item quantifier, and each
+path quantifier expanded over concrete paths, first evaluates its guards
+(dsl.guards: the structural conjuncts of its body) on every candidate and
+skips those that make a guard false.  A skipped body would fold to false and
+be dropped by the disjunction anyway, so the clauses are unchanged.  A guard
+on a path variable bound to a slot block is not structural and is not used.
+Folding also stops once a result is decided: `or` returns true without
+building its right side when its left side folds to true, and a quantifier
+stops at its first true instance.
 """
 from __future__ import annotations
 
@@ -137,6 +147,7 @@ class Grounder:
         self.bstar = set(transitive_containment(m))
         self.held = set(m.asset_rel)
         self._paths: Optional[tuple[Path, ...]] = None
+        self._guard_cache: dict[int, tuple] = {}   # id(quantifier) -> guards
         for item, attr in sorted(m.valuation):
             self.vt.cells.append((item, attr))
             for value in m.meta.attribute(attr).domain:
@@ -283,32 +294,50 @@ class Grounder:
         if isinstance(phi, dsl.Not):
             return fneg(self._build(phi.body, env, not positive))
         if isinstance(phi, dsl.Or):
-            return for_([self._build(phi.left, env, positive),
-                         self._build(phi.right, env, positive)])
+            left = self._build(phi.left, env, positive)
+            if left == TRUE:
+                return TRUE
+            return for_([left, self._build(phi.right, env, positive)])
         if isinstance(phi, dsl.ExistsItem):
-            branches = []
-            for item in m.items_of_sort(phi.sort):
-                env[phi.var] = item
-                branches.append(self._build(phi.body, env, positive))
-            env.pop(phi.var, None)
-            return for_(branches)
+            return self._exists(phi, m.items_of_sort(phi.sort), env, positive)
         if isinstance(phi, dsl.ExistsPath):
             if len(m.elements) <= 1 or not m.connectors:
                 return FALSE
             if positive:
-                group, guards = self._path_group()
+                group, valid = self._path_group()
                 group.var = phi.var
                 env[phi.var] = group
                 body = self._build(phi.body, env, positive)
                 del env[phi.var]
-                return fand([guards, body])
-            branches = []
-            for path in self.paths():
-                env[phi.var] = path
-                branches.append(self._build(phi.body, env, positive))
-            env.pop(phi.var, None)
-            return for_(branches)
+                return fand([valid, body])
+            return self._exists(phi, self.paths(), env, positive)
         raise dsl.DslError(f"not a formula node: {phi!r}")
+
+    def _guards(self, q, env: dict) -> list:
+        """dsl.guards of q, except those on a path variable bound to slots."""
+        entry = self._guard_cache.get(id(q))
+        if entry is None:
+            # the entry holds q, so no other node can reuse its id meanwhile
+            entry = (q, [(g, dsl.free_vars(g) - {q.var}) for g in dsl.guards(q)])
+            self._guard_cache[id(q)] = entry
+        return [g for g, others in entry[1]
+                if not any(isinstance(env[v], PathGroup) for v in others)]
+
+    def _exists(self, q, domain, env: dict, positive: bool) -> tuple:
+        """Disjunction of q's body over the candidates its guards admit."""
+        guards = self._guards(q, env)
+        branches = []
+        for candidate in domain:
+            env[q.var] = candidate
+            if any(self._build(g, env, positive) == FALSE for g in guards):
+                continue
+            branch = self._build(q.body, env, positive)
+            if branch == TRUE:
+                branches = [TRUE]
+                break
+            branches.append(branch)
+        env.pop(q.var, None)
+        return for_(branches)
 
     def _to_clauses(self, f: tuple) -> list[list[int]]:
         clauses: list[list[int]] = []
@@ -365,12 +394,6 @@ class Grounder:
                 raise ValueError(f"path slot {i} decodes to {chosen!r}")
             conns.append(chosen[0])
         return Path(tuple(conns))
-
-
-def encode_model(m: SystemModel) -> tuple[list[list[int]], VarTable]:
-    """Hard clauses of the model encoding (attribute one-hots) plus the table."""
-    g = Grounder(m)
-    return g.base_clauses, g.vt
 
 
 def soft_assertions(m: SystemModel) -> list[SoftAssertion]:

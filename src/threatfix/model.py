@@ -130,18 +130,35 @@ def transitive_containment(m: SystemModel) -> tuple[tuple[str, str], ...]:
 
 # -- parsing ----------------------------------------------------------------
 
-def _require(doc: Mapping, key: str, where: str):
-    if key not in doc:
+def _object(value, where: str) -> Mapping:
+    if not isinstance(value, dict):
+        raise ModelError(f"{where} must be an object", identifier=where)
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ModelError(f"{where} must be a list", identifier=where)
+    return value
+
+
+def _strings(value, where: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ModelError(f"{where} must be a list of strings", identifier=where)
+    return value
+
+
+def _require(doc, key: str, where: str):
+    if key not in _object(doc, where):
         raise ModelError(f"{where}: missing required key {key!r}", identifier=where)
     return doc[key]
 
 
-def _parse_meta(doc: Mapping) -> MetaModel:
+def _parse_meta(doc) -> MetaModel:
+    _object(doc, "meta")
     kinds = {}
     for key in ("elementTypes", "connectorTypes", "assetTypes", "boundaryTypes"):
-        names = doc.get(key, [])
-        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            raise ModelError(f"meta.{key} must be a list of strings", identifier=key)
+        names = _strings(doc.get(key, []), f"meta.{key}")
         if len(set(names)) != len(names):
             dup = sorted(n for n in names if names.count(n) > 1)[0]
             raise ModelError(f"duplicate type name {dup!r} in meta.{key}", identifier=dup)
@@ -154,10 +171,12 @@ def _parse_meta(doc: Mapping) -> MetaModel:
                                  identifier=n)
             seen[n] = key
     attrs = []
-    for a in doc.get("attributes", []):
+    for a in _list(doc.get("attributes", []), "meta.attributes"):
         name = _require(a, "name", "attribute")
-        domain = _require(a, "domain", f"attribute {name!r}")
-        applies = _require(a, "appliesTo", f"attribute {name!r}")
+        domain = _strings(_require(a, "domain", f"attribute {name!r}"),
+                          f"domain of attribute {name!r}")
+        applies = _strings(_require(a, "appliesTo", f"attribute {name!r}"),
+                           f"appliesTo of attribute {name!r}")
         if not domain:
             raise ModelError(f"attribute {name!r} has an empty domain", identifier=name)
         if len(set(domain)) != len(domain):
@@ -218,11 +237,11 @@ def parse_model(text: str) -> SystemModel:
             valuation.setdefault((item_id, attr.name), _default_value(attr))
         return item_id
 
-    for entry in doc.get("elements", []):
+    for entry in _list(doc.get("elements", []), "elements"):
         add_item(entry, ELEMENT)
     source: dict[str, str] = {}
     target: dict[str, str] = {}
-    for entry in doc.get("connectors", []):
+    for entry in _list(doc.get("connectors", []), "connectors"):
         cid = add_item(entry, CONNECTOR)
         for key, table in (("source", source), ("target", target)):
             endpoint = _require(entry, key, f"connector {cid!r}")
@@ -231,17 +250,19 @@ def parse_model(text: str) -> SystemModel:
                                  identifier=cid)
             table[cid] = endpoint
     asset_rel: list[tuple[str, str]] = []
-    for entry in doc.get("assets", []):
+    for entry in _list(doc.get("assets", []), "assets"):
         aid = add_item(entry, ASSET)
-        for holder in _require(entry, "heldBy", f"asset {aid!r}"):
+        for holder in _strings(_require(entry, "heldBy", f"asset {aid!r}"),
+                               f"heldBy of asset {aid!r}"):
             if holder not in ids_by_kind[ELEMENT] and holder not in ids_by_kind[CONNECTOR]:
                 raise ModelError(f"asset {aid!r} held by {holder!r} which is neither an "
                                  f"element nor a connector", identifier=aid)
             asset_rel.append((holder, aid))
     containment: list[tuple[str, str]] = []
-    for entry in doc.get("boundaries", []):
+    for entry in _list(doc.get("boundaries", []), "boundaries"):
         bid = add_item(entry, BOUNDARY)
-        for child in _require(entry, "contains", f"boundary {bid!r}"):
+        for child in _strings(_require(entry, "contains", f"boundary {bid!r}"),
+                              f"contains of boundary {bid!r}"):
             containment.append((bid, child))
     for bid, child in containment:
         if child not in type_of or type_of[child] not in meta.element_types + meta.boundary_types:

@@ -152,25 +152,43 @@ def witnesses(m: SystemModel, phi: dsl.Formula, rule_name: str = "",
 
     Enumeration is outermost-quantifier-major: items in identifier order,
     paths in enumerate_paths order.  Nonempty iff the formula evaluates true.
+    Instantiation is guard-first: at each prefix quantifier, a candidate that
+    makes one of the quantifier's dsl.guards false is skipped before anything
+    inside it is bound.  Such a candidate has no satisfying extension, so the
+    bindings that remain, and their order, are those of the full product.
     """
     ctx = _Ctx(m)
     out: list[Witness] = []
+    env: dict[str, Binding] = {}
+    bound: list[tuple[str, Binding]] = []
+    guards_of: dict[int, tuple[dsl.Formula, ...]] = {}   # id(quantifier) -> guards
 
-    def rec(phi: dsl.Formula, env: dict[str, Binding],
-            bound: list[tuple[str, Binding]]) -> None:
+    def rec(phi: dsl.Formula) -> None:
         if cap is not None and len(out) >= cap:
             return
         if isinstance(phi, dsl.ExistsItem):
-            for item in m.items_of_sort(phi.sort):
-                rec(phi.body, {**env, phi.var: item}, bound + [(phi.var, item)])
+            domain: Iterable[Binding] = m.items_of_sort(phi.sort)
         elif isinstance(phi, dsl.ExistsPath):
-            for path in ctx.paths():
-                rec(phi.body, {**env, phi.var: path}, bound + [(phi.var, path)])
-        elif _eval(ctx, phi, dict(env)):
-            out.append(Witness(rule_name, tuple(bound)))
+            domain = ctx.paths()
+        else:
+            if _eval(ctx, phi, env):
+                out.append(Witness(rule_name, tuple(bound)))
+            return
+        guards = guards_of.get(id(phi))
+        if guards is None:
+            guards = guards_of[id(phi)] = dsl.guards(phi)
+        for candidate in domain:
+            env[phi.var] = candidate
+            if all(_eval(ctx, g, env) for g in guards):
+                bound.append((phi.var, candidate))
+                rec(phi.body)
+                bound.pop()
+                if cap is not None and len(out) >= cap:
+                    break
+        env.pop(phi.var, None)
 
-    rec(phi, {}, [])
-    return tuple(out[:cap] if cap is not None else out)
+    rec(phi)
+    return tuple(out)
 
 
 def brute_force_min_repair(

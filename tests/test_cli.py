@@ -198,6 +198,21 @@ def test_bad_model_file_exits_two(capsys, tmp_path):
     assert "missing required key" in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"meta": 5}, "meta must be an object"),
+    ({"meta": {}, "elements": [5]}, "element must be an object"),
+    ({"meta": {}, "connectors": [3]}, "connector must be an object"),
+])
+def test_malformed_model_shape_exits_two(capsys, tmp_path, doc, message):
+    model = tmp_path / "shape.json"
+    model.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--model", str(model), "--rules", IOT)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
+
+
 LOOP_RULE = ('rule loop : exists path p . exists element e . '
              'src(p) = e and tgt(p) = e\n')
 

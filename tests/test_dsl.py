@@ -7,8 +7,8 @@ from threatfix import dsl
 from threatfix.dsl import (
     Contained, Crosses, DslError, ExistsItem, ExistsPath, Holds, InPath, Not,
     Or, PathSrcIs, PathTgtIs, RuleSyntaxError, SortError, SrcIs, TgtIs,
-    TypeIs, ValIs, check_well_sorted, free_vars, has_attr, parse_formula,
-    parse_rules, print_formula, print_rules,
+    TypeIs, ValIs, check_well_sorted, free_vars, guards, has_attr,
+    parse_formula, parse_rules, print_formula, print_rules,
 )
 
 from conftest import random_closed_formula, random_model
@@ -265,3 +265,24 @@ def test_fixture_rule_files(iot_rules, two_rules):
     assert not has_attr(iot_rules[1].formula)
     assert [r.name for r in two_rules] == ["logging_without_encryption",
                                            "phone_reaches_unlogged_server"]
+
+
+
+def test_guards_are_structural_conjuncts_of_the_body():
+    phi = parse_formula(
+        'exists connector c . exists element e . '
+        'not not type(c) = "Wire" and not (src(c) = e or tgt(c) = e) and '
+        '(type(c) = "A" or type(c) = "B") and val(c, "enc") = "on" and '
+        '(type(c) = "B" or val(c, "enc") = "off") and '
+        '(exists element x . connector(x, c)) and '
+        'exists element y . type(c) = "C" and connector(y, c)')
+    # collected through and, double negation and nested existentials; a
+    # conjunct with val, with a quantifier or with a variable bound inside
+    # the quantifier is not a guard
+    assert guards(phi) == (
+        TypeIs("c", "Wire"),
+        Or(TypeIs("c", "A"), TypeIs("c", "B")),
+        TypeIs("c", "C"),
+    )
+    assert guards(phi.body) == (Not(SrcIs("c", "e")), Not(TgtIs("c", "e")))
+    assert guards(ExistsItem("e", "element", TypeIs("x", "T"))) == ()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -9,10 +10,14 @@ from threatfix.encoder import (
     AndN, ExistsSlots, Grounder, LenAtLeast, LenIs, OrN, SlotConnEq,
     SlotSrcEq, SlotTgtEq, T_FALSE, render_wcnf, scale_costs, translate,
 )
+from threatfix.engine import minimal_repair
 from threatfix.sat import SolverStack, solve_clauses
 from threatfix.semantics import enumerate_paths, evaluate
 
-from conftest import naive_eval, probe_paths, random_closed_formula, random_model
+from conftest import (
+    naive_closure, naive_eval, naive_min_repair, naive_paths, probe_paths,
+    random_closed_formula, random_model,
+)
 
 
 def k3():
@@ -189,6 +194,95 @@ def test_unknown_type_name_grounds_to_false():
     assert detect(m, phi) == "unsat"
     phi = dsl.parse_formula('exists element e . val(e, "no_attr") = "x"')
     assert detect(m, phi) == "unsat"
+
+
+# -- guard-first instantiation ---------------------------------------------------
+
+def all_valuations(m):
+    cells = sorted(m.valuation)
+    domains = [m.meta.attribute(attr).domain for _, attr in cells]
+    for values in itertools.product(*domains):
+        yield dict(zip(cells, values))
+
+
+def assert_grounding_agrees(m, phi):
+    """Both polarities of phi match the oracle under every valuation."""
+    paths, closure = naive_paths(m), naive_closure(m)
+    verdicts = set()
+    for valuation in all_valuations(m):
+        mv = m.with_valuation(valuation)
+        truth = naive_eval(mv, phi, paths=paths, closure=closure)
+        verdicts.add(truth)
+        assert (detect(mv, phi) == "sat") == truth
+        assert (detect(mv, dsl.Not(phi)) == "sat") == (not truth)
+    return verdicts
+
+
+def quantifiers(phi):
+    if isinstance(phi, (dsl.ExistsItem, dsl.ExistsPath)):
+        yield phi
+    if isinstance(phi, (dsl.ExistsItem, dsl.ExistsPath, dsl.Not)):
+        yield from quantifiers(phi.body)
+    elif isinstance(phi, dsl.Or):
+        yield from quantifiers(phi.left)
+        yield from quantifiers(phi.right)
+
+
+def guards_by_var(phi):
+    return {q.var: set(dsl.guards(q)) for q in quantifiers(phi)}
+
+
+def test_negated_guard(motivating):
+    phi = dsl.parse_formula(
+        'exists connector c . exists element e . not src(c) = e and '
+        'type(e) = "WebServer" and val(e, "Data Logging") = "Yes"')
+    assert guards_by_var(phi)["e"] == {dsl.Not(dsl.SrcIs("c", "e")),
+                                       dsl.TypeIs("e", "WebServer")}
+    assert assert_grounding_agrees(motivating, phi) == {True, False}
+
+
+def test_guard_under_forall(motivating):
+    phi = dsl.parse_formula(
+        'exists element e . exists asset a . type(e) = "WebServer" and '
+        'val(e, "Data Logging") = "No" and '
+        'forall connector c . src(c) = e implies holds(c, a)')
+    inner = next(q for q in quantifiers(phi) if q.var == "c")
+    assert inner.body == dsl.Not(dsl.Or(dsl.Not(dsl.SrcIs("c", "e")),
+                                        dsl.Holds("c", "a")))
+    assert set(dsl.guards(inner)) == {dsl.SrcIs("c", "e"),
+                                      dsl.Not(dsl.Holds("c", "a"))}
+    assert assert_grounding_agrees(motivating, phi) == {True, False}
+
+
+def test_conjunct_with_inner_variable_is_not_hoisted(motivating):
+    phi = dsl.parse_formula(
+        'exists element e1 . exists connector c . exists element e2 . '
+        'src(c) = e1 and tgt(c) = e2 and type(e1) = "MobilePhone" and '
+        'val(e2, "Data Logging") = "No"')
+    assert guards_by_var(phi) == {
+        "e1": {dsl.TypeIs("e1", "MobilePhone")},
+        "c": {dsl.SrcIs("c", "e1")},
+        "e2": {dsl.TgtIs("c", "e2")},
+    }
+    assert assert_grounding_agrees(motivating, phi) == {True, False}
+
+
+def test_path_guard_in_negative_polarity(motivating, two_rules):
+    rule = two_rules[1]   # phone_reaches_unlogged_server
+    assert guards_by_var(rule.formula)["e1"] == {
+        dsl.PathSrcIs("p", "e1"), dsl.TypeIs("e1", "MobilePhone")}
+    assert assert_grounding_agrees(motivating, rule.formula) == {True, False}
+    report = minimal_repair(motivating, [rule])
+    assert report.status == "sat"
+    assert report.total_cost == naive_min_repair(motivating, [rule.formula])
+
+
+def test_guards_rejecting_every_candidate_ground_to_false(motivating):
+    phi = dsl.parse_formula(
+        'exists element e . type(e) = "Ghost" and val(e, "Data Logging") = "Yes"')
+    assert Grounder(motivating).ground(phi) == [[]]
+    assert Grounder(motivating).ground(dsl.Not(phi)) == []
+    assert assert_grounding_agrees(motivating, phi) == {False}
 
 
 def test_decode_valuation_rejects_ambiguous_model(motivating):

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from threatfix.engine import (
 from threatfix.model import ModelError
 from threatfix.semantics import brute_force_min_repair, evaluate
 
-from conftest import random_closed_formula, random_costs, random_model
+from conftest import data_text, random_closed_formula, random_costs, random_model
 
 EXACT = EngineConfig(mode="exact")
 HEURISTIC = EngineConfig(mode="heuristic")
@@ -378,3 +380,25 @@ def test_repair_wcnf_top_counts_soft_weight(motivating, two_rules):
     assert top == 1 + soft_sum
     n_clauses = int(header[3])
     assert n_clauses == len(lines) - 1
+
+
+def formula_nodes(phi):
+    yield phi
+    if isinstance(phi, (dsl.Not, dsl.ExistsItem, dsl.ExistsPath)):
+        yield from formula_nodes(phi.body)
+    elif isinstance(phi, dsl.Or):
+        yield from formula_nodes(phi.left)
+        yield from formula_nodes(phi.right)
+
+
+def test_no_cache_outlives_a_request(motivating):
+    rules = dsl.parse_rules(data_text("two.tl"))
+    refs = [weakref.ref(node) for rule in rules for node in formula_nodes(rule.formula)]
+    reports = [check(motivating, rules)]
+    for mode in ("exact", "partial", "heuristic"):
+        reports.append(repair(motivating, rules, EngineConfig(mode=mode)))
+    assert reports[0].status == "sat"
+    assert all(r.status == "sat" for r in reports[1:])
+    del rules, reports
+    gc.collect()
+    assert all(ref() is None for ref in refs)

@@ -130,6 +130,16 @@ def test_fixture_round_trip(smarthome, motivating):
      "non-empty string"),
     (lambda d: d.pop("meta"),
      "missing required key"),
+    (lambda d: d.update(assets={"id": "k2"}),
+     "assets must be a list"),
+    (lambda d: d["boundaries"].append("z3"),
+     "boundary must be an object"),
+    (lambda d: d["assets"][0].update(heldBy="w1"),
+     "heldBy of asset 'k1' must be a list of strings"),
+    (lambda d: d["boundaries"][0]["contains"].append(["h2"]),
+     "contains of boundary 'z1' must be a list of strings"),
+    (lambda d: d["meta"]["attributes"][0].update(domain="on"),
+     "domain of attribute 'enc' must be a list of strings"),
 ])
 def test_validation_errors(mutate, fragment):
     doc = base_doc()

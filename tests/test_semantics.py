@@ -10,7 +10,10 @@ from threatfix.semantics import (
     path_elements, witnesses,
 )
 
-from conftest import naive_eval, naive_min_repair, naive_paths, random_closed_formula, random_model
+from conftest import (
+    naive_closure, naive_eval, naive_min_repair, naive_paths, random_closed_formula,
+    random_model,
+)
 
 
 def k3():
@@ -148,6 +151,66 @@ def test_witness_includes_paths():
     binding = dict(ws[0].bindings)["p"]
     assert isinstance(binding, Path)
     assert binding == enumerate_paths(m)[0]
+
+
+def prefix_bindings(m, phi):
+    """Every binding of the leading existential prefix whose matrix holds.
+
+    The full product in witness order (items by identifier, paths by
+    connector sequence), each leaf tested with the independent oracle.
+    """
+    paths = sorted(naive_paths(m))
+    closure = naive_closure(m)
+    out = []
+
+    def rec(phi, env, bound):
+        if isinstance(phi, dsl.ExistsItem):
+            for item in m.items_of_sort(phi.sort):
+                rec(phi.body, {**env, phi.var: item}, bound + [(phi.var, item)])
+        elif isinstance(phi, dsl.ExistsPath):
+            for p in paths:
+                rec(phi.body, {**env, phi.var: p}, bound + [(phi.var, p)])
+        elif naive_eval(m, phi, dict(env), paths=paths, closure=closure):
+            out.append(tuple(bound))
+
+    rec(phi, {}, [])
+    return out
+
+
+def as_tuples(found):
+    return [tuple((var, b.connectors if isinstance(b, Path) else b)
+                  for var, b in w.bindings) for w in found]
+
+
+def has_path_quantifier(phi):
+    if isinstance(phi, dsl.ExistsPath):
+        return True
+    if isinstance(phi, (dsl.ExistsItem, dsl.Not)):
+        return has_path_quantifier(phi.body)
+    if isinstance(phi, dsl.Or):
+        return has_path_quantifier(phi.left) or has_path_quantifier(phi.right)
+    return False
+
+
+def leading_quantifiers(phi):
+    while isinstance(phi, (dsl.ExistsItem, dsl.ExistsPath)):
+        yield phi
+        phi = phi.body
+
+
+def test_guard_pruning_leaves_witnesses_unchanged():
+    rng = random.Random(77)
+    with_paths = guarded = 0
+    for _ in range(320):
+        m = random_model(rng)
+        phi = random_closed_formula(rng, m, depth=4)
+        with_paths += has_path_quantifier(phi)
+        guarded += any(dsl.guards(q) for q in leading_quantifiers(phi))
+        expected = prefix_bindings(m, phi)
+        assert as_tuples(witnesses(m, phi, "r")) == expected
+        assert as_tuples(witnesses(m, phi, "r", cap=3)) == expected[:3]
+    assert with_paths >= 60
+    assert guarded >= 60
 
 
 def test_smarthome_detection(smarthome, iot_rules):
