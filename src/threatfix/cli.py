@@ -69,14 +69,26 @@ def _load(args):
 
 def _budget(args) -> Optional[int]:
     if args.budget is not None:
-        return args.budget
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ModelError(f"invalid {_BUDGET_ENV} value {raw!r}")
+        budget, source = args.budget, "--budget"
+    else:
+        raw = os.environ.get(_BUDGET_ENV)
+        if raw is None:
+            return None
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise ModelError(f"invalid {_BUDGET_ENV} value {raw!r}")
+        source = _BUDGET_ENV
+    if budget < 0:
+        raise ModelError(f"{source} must be at least 0, got {budget}")
+    return budget
+
+
+def _config(args, **fields) -> engine.EngineConfig:
+    if args.jobs < 1:
+        raise ModelError(f"--jobs must be at least 1, got {args.jobs}")
+    return engine.EngineConfig(conflict_budget=_budget(args), seed=args.seed,
+                               jobs=args.jobs, **fields)
 
 
 def _emit(args, text: str) -> None:
@@ -160,8 +172,7 @@ def main(argv=None) -> int:
     try:
         m, rules = _load(args)
         if args.command in ("check", "explain"):
-            config = engine.EngineConfig(conflict_budget=_budget(args),
-                                         seed=args.seed, jobs=args.jobs)
+            config = _config(args)
             report = engine.check(m, rules, config)
             if args.format == "json":
                 _emit(args, _json_text(report.to_json()))
@@ -169,9 +180,7 @@ def main(argv=None) -> int:
                 _emit(args, _check_text(report))
             return _check_exit(report)
         if args.command == "repair":
-            config = engine.EngineConfig(mode=args.mode,
-                                         conflict_budget=_budget(args),
-                                         seed=args.seed, jobs=args.jobs)
+            config = _config(args, mode=args.mode)
             report = engine.repair(m, rules, config)
             if args.format == "json":
                 _emit(args, _json_text(report.to_json()))

@@ -1,15 +1,25 @@
 """Embedded SAT/MaxSAT core.
 
-A compact CDCL solver (two-watched literals, activity-driven branching,
-first-UIP learning, Luby restarts) behind a push/pop assertion stack, plus a
-weighted MaxSAT loop: linear SAT-to-UNSAT descent over a pseudo-Boolean bound
-encoded with a sequential weighted counter.  Everything is deterministic for
-a fixed seed and insertion order; solve() re-derives verdicts from the
-flattened clause set, so stack traces and flat re-solves always agree.
+A compact CDCL solver (two-watched literals, first-UIP learning, Luby
+restarts) behind a push/pop assertion stack, plus a weighted MaxSAT loop:
+linear SAT-to-UNSAT descent over a pseudo-Boolean bound encoded with a
+sequential weighted counter.
+
+Decisions come from a binary heap keyed (-activity, var) over the variables
+that occur in at least one clause, MiniSat style: the top is the most active
+unassigned variable, the lowest index among ties.  A variable in no clause
+propagates nothing, so deciding it could neither cause a conflict nor change
+what is learnt; it is never decided and reads False in the model.
+
+Everything is deterministic for a fixed seed and insertion order; solve()
+re-derives verdicts from the flattened clause set, so stack traces and flat
+re-solves always agree.
 """
 from __future__ import annotations
 
 import random
+from heapq import heapify, heappop, heappush
+from itertools import chain
 from typing import Iterable, Optional
 
 SAT = "sat"
@@ -19,6 +29,7 @@ UNKNOWN = "unknown"
 _RESTART_BASE = 100
 _ACT_DECAY = 0.95
 _ACT_RESCALE = 1e100
+_HEAP_SLACK = 2   # the decision heap is rebuilt past this many entries per live var
 
 
 def _luby(x: int) -> int:
@@ -54,6 +65,9 @@ class _Cdcl:
         self.conflicts = 0
         self.budget = conflict_budget
         self.ok = True
+        self.seen = [False] * (num_vars + 1)      # scratch for _analyze
+        self.live: list[int] = []                 # variables worth deciding
+        self.heap: list[tuple[float, int]] = []   # (-activity, var), see solve()
         if seed:
             rng = random.Random(seed)
             for v in range(1, num_vars + 1):
@@ -126,16 +140,23 @@ class _Cdcl:
 
     # -- conflict handling ----------------------------------------------------
 
+    def _rebuild_heap(self) -> None:
+        assign, activity = self.assign, self.activity
+        self.heap = [(-activity[v], v) for v in self.live if assign[v] == 0]
+        heapify(self.heap)
+
     def _bump(self, v: int) -> None:
+        # v is assigned, so its next heap entry is pushed when it is unassigned
         self.activity[v] += self.var_inc
         if self.activity[v] > _ACT_RESCALE:
             for u in range(1, self.n + 1):
                 self.activity[u] *= 1e-100
             self.var_inc *= 1e-100
+            self._rebuild_heap()   # every key changed
 
     def _analyze(self, conflict: int) -> tuple[list[int], int]:
         learnt: list[int] = []
-        seen = [False] * (self.n + 1)
+        seen = self.seen   # all False between calls
         counter = 0
         lits = list(self.clauses[conflict])
         idx = len(self.trail) - 1
@@ -162,6 +183,8 @@ class _Cdcl:
             if counter == 0:
                 break
             lits = self.clauses[self.reason[abs(p)]]
+        for q in learnt:
+            seen[abs(q)] = False   # only lower-level literals are still marked
         learnt.insert(0, -p)
         if len(learnt) == 1:
             return learnt, 0
@@ -174,6 +197,7 @@ class _Cdcl:
         return learnt, back
 
     def _backtrack(self, target: int) -> None:
+        heap, activity = self.heap, self.activity
         while len(self.lim) > target:
             bound = self.lim.pop()
             while len(self.trail) > bound:
@@ -182,20 +206,33 @@ class _Cdcl:
                 self.phase[v] = lit > 0
                 self.assign[v] = 0
                 self.reason[v] = None
+                heappush(heap, (-activity[v], v))
         self.qhead = min(self.qhead, len(self.trail))
+        if len(heap) > _HEAP_SLACK * len(self.live):
+            self._rebuild_heap()   # drop the entries of assigned and bumped vars
 
     def _decide(self) -> int:
-        best = 0
-        best_act = -1.0
-        for v in range(1, self.n + 1):
-            if self.assign[v] == 0 and self.activity[v] > best_act:
-                best = v
-                best_act = self.activity[v]
-        return best
+        heap, assign = self.heap, self.assign
+        while heap:
+            v = heappop(heap)[1]
+            # Activities only grow between rebuilds, so an entry older than
+            # a var's last bump sorts after its newest one and can surface
+            # only once the var is assigned again.
+            if assign[v] == 0:
+                return v
+        return 0
 
     def solve(self) -> str:
         if not self.ok:
             return UNSAT
+        if self._propagate() is not None:
+            self.conflicts += 1
+            return UNSAT
+        if len(self.trail) < self.n:
+            # Order what level 0 left free.  Nothing is learnt yet, so these
+            # are the vars of the input clauses; unit-clause vars are assigned.
+            self.live = list(set(map(abs, chain.from_iterable(self.clauses))))
+            self._rebuild_heap()
         restarts = 0
         next_restart = _RESTART_BASE * _luby(0)
         since_restart = 0
@@ -294,10 +331,12 @@ def weighted_bound_clauses(terms: list[tuple[int, int]], k: int,
 
 
 class SolverStack:
-    """Incremental assertion stack over the CDCL core.
+    """Assertion stack over the CDCL core; not an incremental solver.
 
-    push/pop checkpoint the hard clauses and soft groups; solve and max_solve
-    re-run from the flattened current state, so any trace of stack operations
+    push records the lengths of the hard-clause and soft-group lists and pop
+    truncates them back; nothing else is kept between calls.  Each solve and
+    max_solve starts a fresh CDCL run over the flattened current clauses, so
+    no learnt clause or activity survives, and any trace of stack operations
     matches a from-scratch solve of the same clauses.
     """
 
@@ -331,9 +370,10 @@ class SolverStack:
     def add(self, clauses: Iterable[Iterable[int]]) -> None:
         for clause in clauses:
             lits = sorted(set(clause), key=abs)
-            if any(-lit in lits for lit in lits):
-                continue   # tautology
-            self._note_vars([lits])
+            if len({abs(lit) for lit in lits}) < len(lits):
+                continue   # tautology: distinct literals sharing a var are x, -x
+            if lits and abs(lits[-1]) > self.num_vars:
+                self.num_vars = abs(lits[-1])
             self.hard.append(lits)
 
     def add_soft(self, clauses: Iterable[Iterable[int]], cost: int) -> int:

@@ -250,3 +250,24 @@ def test_budget_env_invalid(capsys, monkeypatch):
     code, _, err = run(capsys, "check", "--model", SMARTHOME, "--rules", IOT)
     assert code == 2
     assert "THREATFIX_BUDGET" in err
+
+
+@pytest.mark.parametrize("command", ["check", "repair"])
+def test_negative_budget_exits_two(capsys, monkeypatch, command):
+    code, out, err = run(capsys, command, "--model", SMARTHOME, "--rules", IOT,
+                         "--budget", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --budget must be at least 0, got -1\n"
+    monkeypatch.setenv("THREATFIX_BUDGET", "-1")
+    code, out, err = run(capsys, command, "--model", SMARTHOME, "--rules", IOT)
+    assert (code, out) == (2, "")
+    assert err == "error: THREATFIX_BUDGET must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_two(capsys, jobs):
+    for command in ("check", "explain", "repair"):
+        code, out, err = run(capsys, command, "--model", SMARTHOME,
+                             "--rules", IOT, "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"

@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from threatfix import sat
 from threatfix.sat import (
-    SolverStack, _luby, parse_maxsat_result, solve_clauses,
+    SolverStack, _Cdcl, _luby, parse_maxsat_result, solve_clauses,
     weighted_bound_clauses,
 )
 
@@ -64,6 +65,12 @@ def test_unit_chain():
     assert model[1] and model[2] and model[3] and not model[4]
 
 
+def test_conflict_at_level_zero_is_counted():
+    solver = _Cdcl(2, [[1], [-1, 2], [-1, -2]])
+    assert solver.solve() == "unsat"
+    assert solver.conflicts == 1
+
+
 def test_pigeonhole_unsat():
     # 5 pigeons, 4 holes
     def var(p, h):
@@ -106,6 +113,97 @@ def test_luby_prefix_frozen():
         [1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, 1, 1]
     values = {_luby(i) for i in range(1, 200)}
     assert all(v & (v - 1) == 0 for v in values)   # powers of two
+
+
+# -- heap-ordered decisions -----------------------------------------------------
+
+
+class LinearScanCdcl(_Cdcl):
+    """Reference: decide by scanning every variable, dead ones included."""
+
+    def _decide(self) -> int:
+        best = 0
+        best_act = -1.0
+        for v in range(1, self.n + 1):
+            if self.assign[v] == 0 and self.activity[v] > best_act:
+                best = v
+                best_act = self.activity[v]
+        return best
+
+
+def gapped_cnf(rng):
+    """A random 3-CNF near the threshold over a sparse subset of 1..n."""
+    n = rng.randint(8, 40)
+    used = rng.sample(range(1, n + 1), rng.randint(4, min(n, 24)))
+    clauses = []
+    for _ in range(int(4.3 * len(used))):
+        lits = rng.sample(used, min(3, len(used)))
+        clauses.append([v if rng.random() < 0.5 else -v for v in lits])
+    return n, clauses
+
+
+def run_both(n, clauses, seed, budget):
+    got = _Cdcl(n, clauses, seed=seed, conflict_budget=budget)
+    want = LinearScanCdcl(n, clauses, seed=seed, conflict_budget=budget)
+    gv, wv = got.solve(), want.solve()
+    assert (gv, got.model(), got.conflicts) == (wv, want.model(), want.conflicts)
+    return gv, got
+
+
+def assert_same_search(instances):
+    verdicts = set()
+    solvers = []
+    for n, clauses in instances:
+        for seed in (0, 3, 17):
+            for budget in (None, 2):
+                verdict, solver = run_both(n, clauses, seed, budget)
+                verdicts.add(verdict)
+                solvers.append(solver)
+    # the sample reaches every verdict, and some runs search hard
+    assert verdicts == {"sat", "unsat", "unknown"}
+    assert max(s.conflicts for s in solvers) >= 20
+    return solvers
+
+
+def test_heap_decisions_match_linear_scan():
+    rng = random.Random(41)
+    assert_same_search([gapped_cnf(rng) for _ in range(120)])
+
+
+def test_heap_decisions_match_linear_scan_across_rescales(monkeypatch):
+    monkeypatch.setattr(sat, "_ACT_RESCALE", 4.0)
+    rng = random.Random(43)
+    solvers = assert_same_search([gapped_cnf(rng) for _ in range(60)])
+    # var_inc only grows, except when a rescale scales it by 1e-100
+    assert any(s.var_inc < 1.0 for s in solvers)
+
+
+def pigeonhole(pigeons, holes, stride=1):
+    """Pigeons into fewer holes; variables are spaced `stride` apart."""
+    def var(p, h):
+        return (p * holes + h) * stride + 1
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                clauses.append([-var(p1, h), -var(p2, h)])
+    return var(pigeons - 1, holes - 1), clauses
+
+
+def test_decision_heap_stays_bounded_on_a_long_search():
+    peak = 0
+
+    class Watched(_Cdcl):
+        def _decide(self):
+            nonlocal peak
+            peak = max(peak, len(self.heap))
+            return super()._decide()
+
+    n, clauses = pigeonhole(7, 6, stride=2)
+    solver = Watched(n, clauses)
+    assert solver.solve() == "unsat"
+    assert solver.conflicts > 500
+    assert 0 < peak <= sat._HEAP_SLACK * n
 
 
 # -- weighted bound encoding ---------------------------------------------------
@@ -250,6 +348,11 @@ def test_tautologies_are_dropped():
     stack.add([[1, -1]])
     assert stack.hard == []
     assert stack.solve() == "sat"
+    # duplicates merge, literals sort by variable, and a dropped tautology
+    # does not widen the variable range
+    stack.add([[3, -2, 3], [2, 6, -2], [], [-4, 1, -4]])
+    assert stack.hard == [[-2, 3], [], [1, -4]]
+    assert stack.num_vars == 4
 
 
 def test_parse_maxsat_result():
