@@ -37,7 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--out", help="write the report to this file")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel rule checks")
+                       help="accepted for compatibility; rules are checked "
+                            "sequentially")
         p.add_argument("--seed", type=int, default=0, help="solver seed")
         p.add_argument("--budget", type=int,
                        help=f"conflict budget (default from ${_BUDGET_ENV})")
@@ -56,14 +57,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ModelError(f"{path}: {exc}") from None
+
+
 def _load(args):
-    with open(args.model, encoding="utf-8") as fh:
-        m = parse_model(fh.read())
-    with open(args.rules, encoding="utf-8") as fh:
-        rules = parse_rules(fh.read())
+    m = parse_model(_read(args.model))
+    rules = parse_rules(_read(args.rules))
     if getattr(args, "costs", None):
-        with open(args.costs, encoding="utf-8") as fh:
-            m = load_costs(m, fh.read())
+        m = load_costs(m, _read(args.costs))
     return m, rules
 
 

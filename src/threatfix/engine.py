@@ -12,7 +12,6 @@ Three repair strategies share one soft-assertion encoding:
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -30,7 +29,7 @@ class EngineConfig:
     conflict_budget: Optional[int] = None
     max_witnesses: int = 10
     seed: int = 0
-    jobs: int = 1
+    jobs: int = 1   # accepted for compatibility; rules are checked sequentially
 
 
 @dataclass(frozen=True)
@@ -161,25 +160,7 @@ def _add_softs(stack: SolverStack, grounder: Grounder, valuation=None) -> None:
         stack.add_soft([grounder.soft_clause(s)], weight)
 
 
-def _detect_one(m: SystemModel, rule: dsl.Rule, config: EngineConfig) -> RuleCheck:
-    grounder = Grounder(m)
-    stack = _new_stack(config)
-    stack.add(grounder.base_clauses)
-    stack.add(grounder.pin_clauses())
-    stack.add(grounder.ground(rule.formula))
-    verdict = stack.solve()
-    found: tuple[Witness, ...] = ()
-    if verdict == SAT:
-        found = witnesses(m, rule.formula, rule.name, cap=config.max_witnesses)
-    return RuleCheck(rule.name, verdict, found)
-
-
 def check(m: SystemModel, rules, config: EngineConfig = EngineConfig()) -> CheckReport:
-    rules = list(rules)
-    if config.jobs > 1 and len(rules) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(lambda r: _detect_one(m, r, config), rules))
-        return CheckReport(tuple(results))
     grounder = Grounder(m)
     stack = _new_stack(config)
     stack.add(grounder.base_clauses)

@@ -5,6 +5,14 @@ restarts) behind a push/pop assertion stack, plus a weighted MaxSAT loop:
 linear SAT-to-UNSAT descent over a pseudo-Boolean bound encoded with a
 sequential weighted counter.
 
+The descent is solution-guided (Demirović & Stuckey, CP 2019): every solve
+of a MaxSAT search decides the literals of the soft clauses first, each in
+the polarity that satisfies it.  For a repair the softs are the keep-away
+units on non-current values, so the first model already keeps every cell
+it can on its current value and the descent usually ends after one UNSAT
+step.  Only phases and initial activities change; clauses, bounds and
+verdicts do not.
+
 Decisions come from a binary heap keyed (-activity, var) over the variables
 that occur in at least one clause, MiniSat style: the top is the most active
 unassigned variable, the lowest index among ties.  A variable in no clause
@@ -46,10 +54,15 @@ def _luby(x: int) -> int:
 
 
 class _Cdcl:
-    """One-shot CDCL run over a fixed clause list."""
+    """One-shot CDCL run over a fixed clause list.
+
+    Each literal of `prefer` is decided before any other variable, in its
+    own polarity: its activity starts 1.0 above the seeded noise.
+    """
 
     def __init__(self, num_vars: int, clauses: Iterable[Iterable[int]],
-                 seed: int = 0, conflict_budget: Optional[int] = None):
+                 seed: int = 0, conflict_budget: Optional[int] = None,
+                 prefer: Iterable[int] = ()):
         self.n = num_vars
         self.assign = [0] * (num_vars + 1)        # 0 unassigned, +1 true, -1 false
         self.level = [0] * (num_vars + 1)
@@ -72,6 +85,9 @@ class _Cdcl:
             rng = random.Random(seed)
             for v in range(1, num_vars + 1):
                 self.activity[v] = rng.random() * 1e-6
+        for lit in prefer:
+            self.phase[abs(lit)] = lit > 0
+            self.activity[abs(lit)] += 1.0
         for clause in clauses:
             self._attach(list(clause))
 
@@ -276,9 +292,11 @@ class _Cdcl:
 
 
 def solve_clauses(clauses: list[list[int]], num_vars: int, seed: int = 0,
-                  conflict_budget: Optional[int] = None
+                  conflict_budget: Optional[int] = None,
+                  prefer: Iterable[int] = ()
                   ) -> tuple[str, Optional[list[bool]]]:
-    solver = _Cdcl(num_vars, clauses, seed=seed, conflict_budget=conflict_budget)
+    solver = _Cdcl(num_vars, clauses, seed=seed, conflict_budget=conflict_budget,
+                   prefer=prefer)
     verdict = solver.solve()
     return verdict, solver.model() if verdict == SAT else None
 
@@ -403,9 +421,16 @@ class SolverStack:
         return total
 
     def max_solve(self) -> tuple[str, Optional[int]]:
-        """Minimize the weight of violated soft groups; returns (verdict, cost)."""
+        """Minimize the weight of violated soft groups; returns (verdict, cost).
+
+        Linear SAT-to-UNSAT descent: each SAT step bounds the cost below the
+        best model so far.  Every solve decides the soft-clause literals
+        first, so the first model sits next to the optimum and few steps
+        follow it.
+        """
+        prefer = [lit for group, _ in self.soft for clause in group for lit in clause]
         verdict, model = solve_clauses(self.hard, self.num_vars, self.seed,
-                                       self.conflict_budget)
+                                       self.conflict_budget, prefer)
         if verdict != SAT:
             self._model = None
             return verdict, None
@@ -429,7 +454,7 @@ class SolverStack:
         while best_cost > 0:
             bound, counter_top = weighted_bound_clauses(terms, best_cost - 1, base_vars + 1)
             verdict, model = solve_clauses(relaxed + bound, counter_top - 1,
-                                           self.seed, self.conflict_budget)
+                                           self.seed, self.conflict_budget, prefer)
             if verdict == UNKNOWN:
                 self._model = None
                 return UNKNOWN, None
@@ -444,25 +469,3 @@ class SolverStack:
         if self._model is None:
             raise RuntimeError("no model available; last solve was not sat")
         return self._model
-
-
-def parse_maxsat_result(text: str) -> tuple[Optional[int], dict[int, bool]]:
-    """Parse external-solver output: last `o <cost>` line and `v` literal lines."""
-    cost: Optional[int] = None
-    assignment: dict[int, bool] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if line.startswith("o "):
-            try:
-                cost = int(line[2:].strip())
-            except ValueError:
-                continue
-        elif line.startswith("v ") or line == "v":
-            for token in line[1:].split():
-                try:
-                    lit = int(token)
-                except ValueError:
-                    continue
-                if lit != 0:
-                    assignment[abs(lit)] = lit > 0
-    return cost, assignment

@@ -198,6 +198,20 @@ def test_bad_model_file_exits_two(capsys, tmp_path):
     assert "missing required key" in err
 
 
+@pytest.mark.parametrize("flag", ["--model", "--rules", "--costs"])
+def test_non_utf8_input_file_exits_two(capsys, tmp_path, flag):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe" + "rule x".encode("utf-16-le"))
+    files = {"--model": MOTIVATING, "--rules": TWO, "--costs": ENC}
+    files[flag] = str(bad)
+    argv = ["repair"]
+    for name, path in files.items():
+        argv += [name, path]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"meta": 5}, "meta must be an object"),
     ({"meta": {}, "elements": [5]}, "element must be an object"),

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from threatfix import sat
 from threatfix.sat import (
-    SolverStack, _Cdcl, _luby, parse_maxsat_result, solve_clauses,
-    weighted_bound_clauses,
+    SolverStack, _Cdcl, _luby, solve_clauses, weighted_bound_clauses,
 )
 
 
@@ -271,23 +270,68 @@ def test_max_solve_matches_enumeration():
     rng = random.Random(21)
     for _ in range(300):
         n = rng.randint(1, 7)
-        stack = SolverStack()
         hard = random_cnf(rng, n, rng.randint(0, 2 * n))
-        stack.add(hard)
-        soft = []
-        for _ in range(rng.randint(0, 4)):
-            group = random_cnf(rng, n, rng.randint(1, 2))
-            w = rng.randint(1, 5)
-            soft.append((group, w))
-            stack.add_soft(group, w)
-        verdict, cost = stack.max_solve()
-        want = brute_min_cost(stack.hard, soft, n)
-        if want is None:
-            assert verdict == "unsat" and cost is None
-        else:
-            assert verdict == "sat" and cost == want
-            model = stack.model()
-            assert check_model(stack.hard, model)
+        soft = [(random_cnf(rng, n, rng.randint(1, 2)), rng.randint(1, 40))
+                for _ in range(rng.randint(0, 5))]
+        want = brute_min_cost(hard, soft, n)
+        for seed in (0, 3, 17):
+            models = []
+            for _ in range(2):
+                stack = SolverStack(seed=seed)
+                stack.add(hard)
+                for group, w in soft:
+                    stack.add_soft(group, w)
+                verdict, cost = stack.max_solve()
+                if want is None:
+                    assert verdict == "unsat" and cost is None
+                    break
+                assert verdict == "sat" and cost == want
+                assert check_model(stack.hard, stack.model())
+                models.append(stack.model())
+            if models:
+                assert models[0] == models[1]   # same seed, same model
+
+
+def one_hot_repair(rng, cells, values, sign):
+    """Exactly-one cells on their current value 0, with keep-away softs.
+
+    Hard units move cells 0 and 1 to value 1, so the optimum changes those
+    two cells and keeps every other cell where it is.  With sign -1 every
+    literal is negated, so the keep-away softs are positive literals.
+    """
+    def var(c, v):
+        return sign * (c * values + v + 1)
+    stack = SolverStack()
+    for c in range(cells):
+        stack.add([[var(c, v) for v in range(values)]])
+        stack.add([[-var(c, v), -var(c, u)]
+                   for v in range(values) for u in range(v + 1, values)])
+    stack.add([[var(0, 1)], [var(1, 1)]])
+    weights = {}
+    for c in range(cells):
+        for v in range(1, values):
+            weights[c, v] = rng.randint(1000, 3000)
+            stack.add_soft([[-var(c, v)]], weights[c, v])
+    return stack, weights[0, 1] + weights[1, 1]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_soft_literals_are_decided_first(monkeypatch, sign):
+    real = sat.solve_clauses
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        # the hard solve, then at most one SAT and one UNSAT step
+        assert len(calls) <= 3
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sat, "solve_clauses", counted)
+    rng = random.Random(5)
+    for _ in range(5):
+        stack, want = one_hot_repair(rng, cells=4, values=3, sign=sign)
+        calls.clear()
+        assert stack.max_solve() == ("sat", want)
 
 
 def test_max_solve_without_softs():
@@ -354,12 +398,3 @@ def test_tautologies_are_dropped():
     assert stack.hard == [[-2, 3], [], [1, -4]]
     assert stack.num_vars == 4
 
-
-def test_parse_maxsat_result():
-    cost, assignment = parse_maxsat_result(
-        "c comment\no 12\no 7\nv 1 -2 3 0\nv -4\ns OPTIMUM FOUND\n")
-    assert cost == 7
-    assert assignment == {1: True, 2: False, 3: True, 4: False}
-    assert parse_maxsat_result("") == (None, {})
-    cost, assignment = parse_maxsat_result("o nope\nv x 2\n")
-    assert cost is None and assignment == {2: True}
