@@ -117,9 +117,6 @@ class VarTable:
         self.next_var += 1
         return v
 
-    def attr_var(self, item: str, attr: str, value: str) -> int:
-        return self.attr[(item, attr, value)]
-
 
 def _exactly_one(lits: list[int]) -> list[list[int]]:
     clauses = [list(lits)]
@@ -396,16 +393,18 @@ class Grounder:
         return Path(tuple(conns))
 
 
-def soft_assertions(m: SystemModel) -> list[SoftAssertion]:
-    return Grounder(m).soft_assertions()
-
-
 def scale_costs(costs: Iterable[Fraction]) -> int:
     """Least common denominator turning all costs into integers."""
     scale = 1
     for c in costs:
         scale = lcm(scale, c.denominator)
     return scale
+
+
+def soft_weights(softs: list[SoftAssertion]) -> list[tuple[SoftAssertion, int]]:
+    """Integer weights: costs scaled by their LCD, zero-cost assertions dropped."""
+    scale = scale_costs(s.cost for s in softs)
+    return [(s, int(s.cost * scale)) for s in softs if s.cost != 0]
 
 
 # -- path-quantifier elimination (first-order form, used by the exporters) ----

@@ -1,26 +1,33 @@
 """Detection and repair on top of the grounded encoding.
 
-Three repair strategies share one soft-assertion encoding:
+Every mode is built from two operations on one encoding session (a Grounder
+plus a SolverStack):
 
-- minimal_repair: every rule negated at once, one optimal solve.  Unsat means
-  the rule set cannot be falsified by attribute changes alone.
-- partial_repair: rules whose matches do not depend on attributes are set
-  aside as unrepairable (with witnesses), the rest are repaired jointly.
-- heuristic_partial_repair: rules are processed in file order against an
-  evolving valuation; each candidate fix is kept only if it does not
-  re-trigger a rule that was already settled.  Faster, not optimal.
+- pinned check: does a formula hold with every cell pinned to a valuation?
+- repair step: the cheapest valuation that makes a set of formulas false,
+  costed from a given valuation.  A zero-cost change is kept only if needed.
+
+check makes one pinned check per rule.  Exact repair (minimal_repair) is one
+repair step over every rule; unsat means no attribute change falsifies them
+all.  Partial repair (partial_repair) first sets aside the matched rules that
+have no attribute predicate and reports them unrepairable, with witnesses.
+Heuristic repair (heuristic_partial_repair) takes the rules in file order
+against an evolving valuation: a pinned check, a repair step for that rule
+alone, and a pinned check that the fix re-triggers no settled rule.  Faster,
+not optimal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 from . import dsl
-from .encoder import Grounder, render_wcnf, scale_costs
+from .encoder import Grounder, render_wcnf, soft_weights
 from .model import ModelError, SystemModel
 from .sat import SAT, UNKNOWN, UNSAT, SolverStack
-from .semantics import Path, Witness, witnesses
+from .semantics import Path, Witness, evaluate, witnesses
 
 
 @dataclass(frozen=True)
@@ -136,41 +143,79 @@ def _witness_json(w: Witness) -> dict:
     return out
 
 
-def _new_stack(config: EngineConfig) -> SolverStack:
-    return SolverStack(seed=config.seed, conflict_budget=config.conflict_budget)
+class _Session:
+    """One Grounder plus SolverStack; its two operations serve every mode."""
+
+    def __init__(self, m: SystemModel, config: EngineConfig, pin_base: bool = False):
+        self.m = m
+        self.grounder = Grounder(m)
+        self.stack = SolverStack(seed=config.seed,
+                                 conflict_budget=config.conflict_budget)
+        self.stack.add(self.grounder.base_clauses)
+        if pin_base:
+            self.stack.add(self.grounder.pin_clauses())
+
+    def holds(self, phi: dsl.Formula, valuation=None) -> str:
+        """Pinned check: verdict of phi with every cell pinned to `valuation`.
+
+        Without a valuation the pins are the ones the base already holds.
+        """
+        stack = self.stack
+        stack.push()
+        if valuation is not None:
+            stack.add(self.grounder.pin_clauses(valuation))
+        stack.add(self.grounder.ground(phi))
+        verdict = stack.solve()
+        stack.pop()
+        return verdict
+
+    def falsify(self, formulas, valuation) -> tuple[str, Optional[dict]]:
+        """Repair step: the cheapest valuation making every formula false.
+
+        Costs are counted from `valuation`.  Returns the verdict and, when it
+        is sat, the new valuation; a zero-cost change stays only if some
+        formula needs it to remain false.
+        """
+        stack, grounder = self.stack, self.grounder
+        stack.push()
+        for phi in formulas:
+            stack.add(grounder.ground(dsl.Not(phi)))
+        for soft, weight in soft_weights(grounder.soft_assertions(valuation)):
+            stack.add_soft([grounder.soft_clause(soft)], weight)
+        verdict, _ = stack.max_solve()
+        found = grounder.decode_valuation(stack.model()) if verdict == SAT else None
+        stack.pop()
+        if found is None:
+            return verdict, None
+        for key in sorted(found):
+            old, new = valuation[key], found[key]
+            if new == old or self.m.cost(*key, old, new) != 0:
+                continue
+            reverted = dict(found)
+            reverted[key] = old
+            trial = self.m.with_valuation(reverted)
+            if not any(evaluate(trial, phi) for phi in formulas):
+                found = reverted
+        return verdict, found
 
 
-def _changes_between(m: SystemModel, old: dict, new: dict) -> tuple[Change, ...]:
-    out = []
+def _changes_between(m: SystemModel, old: dict,
+                     new: dict) -> tuple[tuple[Change, ...], Fraction]:
+    """The changed cells in sorted order, and their total cost."""
+    changes = []
     for key in sorted(old):
         if new[key] != old[key]:
             item, attr = key
-            out.append(Change(item, attr, old[key], new[key],
-                              m.cost(item, attr, old[key], new[key])))
-    return tuple(out)
-
-
-def _add_softs(stack: SolverStack, grounder: Grounder, valuation=None) -> None:
-    softs = grounder.soft_assertions(valuation)
-    scale = scale_costs([s.cost for s in softs])
-    for s in softs:
-        weight = int(s.cost * scale)
-        if weight == 0:
-            continue
-        stack.add_soft([grounder.soft_clause(s)], weight)
+            changes.append(Change(item, attr, old[key], new[key],
+                                  m.cost(item, attr, old[key], new[key])))
+    return tuple(changes), sum((c.cost for c in changes), Fraction(0))
 
 
 def check(m: SystemModel, rules, config: EngineConfig = EngineConfig()) -> CheckReport:
-    grounder = Grounder(m)
-    stack = _new_stack(config)
-    stack.add(grounder.base_clauses)
-    stack.add(grounder.pin_clauses())
+    session = _Session(m, config, pin_base=True)
     results = []
     for rule in rules:
-        stack.push()
-        stack.add(grounder.ground(rule.formula))
-        verdict = stack.solve()
-        stack.pop()
+        verdict = session.holds(rule.formula)
         found: tuple[Witness, ...] = ()
         if verdict == SAT:
             found = witnesses(m, rule.formula, rule.name, cap=config.max_witnesses)
@@ -178,152 +223,88 @@ def check(m: SystemModel, rules, config: EngineConfig = EngineConfig()) -> Check
     return CheckReport(tuple(results))
 
 
-def minimal_repair(m: SystemModel, rules,
-                   config: EngineConfig = EngineConfig()) -> RepairReport:
+def _joint_repair(m: SystemModel, rules, config: EngineConfig,
+                  set_aside_structural: bool) -> RepairReport:
+    """One repair step over all rules, minus those set aside as unrepairable."""
     rules = list(rules)
     detection = check(m, rules, config)
     if any(r.verdict == UNKNOWN for r in detection.results):
         return RepairReport(UNKNOWN, None, ())
-    unmatched = tuple(r.rule for r in detection.results if not r.matched)
-    matched = tuple(r.rule for r in detection.results if r.matched)
-    grounder = Grounder(m)
-    stack = _new_stack(config)
-    stack.add(grounder.base_clauses)
-    for rule in rules:
-        stack.add(grounder.ground(dsl.Not(rule.formula)))
-    _add_softs(stack, grounder)
-    verdict, _ = stack.max_solve()
+    no_threat = tuple(r.rule for r in detection.results if not r.matched)
+    excluded, keep = [], []   # excluded: matched, but no attribute predicate to act on
+    for rule, result in zip(rules, detection.results):
+        if result.matched:
+            structural = set_aside_structural and not dsl.has_attr(rule.formula)
+            (excluded if structural else keep).append(result)
+    aside = tuple(r.rule for r in excluded)
+    wits = {r.rule: r.witnesses for r in excluded}
+    verdict, found = _Session(m, config).falsify(
+        [rule.formula for rule in rules if rule.name not in aside], m.valuation)
     if verdict == UNKNOWN:
-        return RepairReport(UNKNOWN, None, (), no_threat=unmatched)
+        return RepairReport(UNKNOWN, None, (), no_threat=no_threat,
+                            unrepairable=aside, witnesses=wits)
     if verdict == UNSAT:
-        wits = {r.rule: r.witnesses for r in detection.results if r.matched}
-        return RepairReport(UNSAT, None, (), no_threat=unmatched,
-                            unrepairable=matched, witnesses=wits)
-    new_valuation = grounder.decode_valuation(stack.model())
-    changes = _changes_between(m, m.valuation, new_valuation)
-    total = sum((c.cost for c in changes), Fraction(0))
-    return RepairReport(SAT, total, changes, no_threat=unmatched,
-                        repaired=matched)
+        wits.update((r.rule, r.witnesses) for r in keep)
+        return RepairReport(UNSAT, None, (), no_threat=no_threat,
+                            unrepairable=aside + tuple(r.rule for r in keep),
+                            witnesses=wits)
+    changes, total = _changes_between(m, m.valuation, found)
+    return RepairReport(SAT, total, changes, no_threat=no_threat,
+                        repaired=tuple(r.rule for r in keep), unrepairable=aside,
+                        witnesses=wits)
+
+
+def minimal_repair(m: SystemModel, rules,
+                   config: EngineConfig = EngineConfig()) -> RepairReport:
+    return _joint_repair(m, rules, config, set_aside_structural=False)
 
 
 def partial_repair(m: SystemModel, rules,
                    config: EngineConfig = EngineConfig()) -> RepairReport:
-    rules = list(rules)
-    detection = check(m, rules, config)
-    if any(r.verdict == UNKNOWN for r in detection.results):
-        return RepairReport(UNKNOWN, None, ())
-    unmatched = [r.rule for r in detection.results if not r.matched]
-    matched = {r.rule: r for r in detection.results if r.matched}
-    excluded = []   # matched, but no attribute predicate to act on
-    wits = {}
-    keep = []
-    by_name = {rule.name: rule for rule in rules}
-    for name, result in matched.items():
-        if dsl.has_attr(by_name[name].formula):
-            keep.append(name)
-        else:
-            excluded.append(name)
-            wits[name] = result.witnesses
-    grounder = Grounder(m)
-    stack = _new_stack(config)
-    stack.add(grounder.base_clauses)
-    for rule in rules:
-        if rule.name in excluded:
-            continue
-        stack.add(grounder.ground(dsl.Not(rule.formula)))
-    _add_softs(stack, grounder)
-    verdict, _ = stack.max_solve()
-    if verdict == UNKNOWN:
-        return RepairReport(UNKNOWN, None, (), no_threat=tuple(unmatched),
-                            unrepairable=tuple(excluded), witnesses=wits)
-    if verdict == UNSAT:
-        for name in keep:
-            wits[name] = matched[name].witnesses
-        return RepairReport(UNSAT, None, (), no_threat=tuple(unmatched),
-                            unrepairable=tuple(excluded + keep), witnesses=wits)
-    new_valuation = grounder.decode_valuation(stack.model())
-    changes = _changes_between(m, m.valuation, new_valuation)
-    total = sum((c.cost for c in changes), Fraction(0))
-    return RepairReport(SAT, total, changes, no_threat=tuple(unmatched),
-                        repaired=tuple(keep), unrepairable=tuple(excluded),
-                        witnesses=wits)
+    return _joint_repair(m, rules, config, set_aside_structural=True)
+
+
+# verdict of "the candidate keeps every settled rule false" from the check of
+# their disjunction
+_KEEPS_SETTLED = {SAT: UNSAT, UNSAT: SAT, UNKNOWN: UNKNOWN}
 
 
 def heuristic_partial_repair(m: SystemModel, rules,
                              config: EngineConfig = EngineConfig()) -> RepairReport:
-    rules = list(rules)
-    grounder = Grounder(m)
-    stack = _new_stack(config)
-    stack.add(grounder.base_clauses)
+    session = _Session(m, config)
     current = dict(m.valuation)
     no_threat: list[str] = []
     repaired: list[str] = []
     unrepairable: list[str] = []
     wits = {}
     saw_unknown = False
-    settled_formulas: list = []
-
-    def settled_disjunction():
-        phi = settled_formulas[0]
-        for extra in settled_formulas[1:]:
-            phi = dsl.Or(phi, extra)
-        return phi
+    settled: list[dsl.Formula] = []
 
     for rule in rules:
-        snapshot = m.with_valuation(current)
-        stack.push()
-        stack.add(grounder.pin_clauses(current))
-        stack.add(grounder.ground(rule.formula))
-        verdict = stack.solve()
-        stack.pop()
+        verdict = session.holds(rule.formula, current)
+        if verdict == UNSAT:
+            no_threat.append(rule.name)
+            settled.append(rule.formula)
+            continue
+        if verdict == SAT and dsl.has_attr(rule.formula):
+            verdict, candidate = session.falsify([rule.formula], current)
+            if verdict == SAT and settled:
+                # the fix must not re-trigger an already settled rule
+                verdict = _KEEPS_SETTLED[
+                    session.holds(reduce(dsl.Or, settled), candidate)]
+            if verdict == SAT:
+                repaired.append(rule.name)
+                settled.append(rule.formula)
+                current = candidate
+                continue
         if verdict == UNKNOWN:
             saw_unknown = True
             continue
-        if verdict == UNSAT:
-            no_threat.append(rule.name)
-            settled_formulas.append(rule.formula)
-            continue
-        if not dsl.has_attr(rule.formula):
-            unrepairable.append(rule.name)
-            wits[rule.name] = witnesses(snapshot, rule.formula, rule.name,
-                                        cap=config.max_witnesses)
-            continue
-        stack.push()
-        stack.add(grounder.ground(dsl.Not(rule.formula)))
-        _add_softs(stack, grounder, current)
-        verdict, _ = stack.max_solve()
-        if verdict != SAT:
-            stack.pop()
-            if verdict == UNKNOWN:
-                saw_unknown = True
-            else:
-                unrepairable.append(rule.name)
-                wits[rule.name] = witnesses(snapshot, rule.formula, rule.name,
-                                            cap=config.max_witnesses)
-            continue
-        candidate = grounder.decode_valuation(stack.model())
-        stack.pop()
-        if settled_formulas:
-            stack.push()
-            stack.add(grounder.pin_clauses(candidate))
-            stack.add(grounder.ground(settled_disjunction()))
-            recheck = stack.solve()
-            stack.pop()
-            if recheck == UNKNOWN:
-                saw_unknown = True
-                continue
-            if recheck == SAT:
-                # the fix would re-trigger an already settled rule
-                unrepairable.append(rule.name)
-                wits[rule.name] = witnesses(snapshot, rule.formula, rule.name,
-                                            cap=config.max_witnesses)
-                continue
-        repaired.append(rule.name)
-        settled_formulas.append(rule.formula)
-        current = candidate
+        unrepairable.append(rule.name)
+        wits[rule.name] = witnesses(m.with_valuation(current), rule.formula,
+                                    rule.name, cap=config.max_witnesses)
 
-    changes = _changes_between(m, m.valuation, current)
-    total = sum((c.cost for c in changes), Fraction(0))
+    changes, total = _changes_between(m, m.valuation, current)
     status = UNKNOWN if saw_unknown else SAT
     return RepairReport(status, total, changes, no_threat=tuple(no_threat),
                         repaired=tuple(repaired), unrepairable=tuple(unrepairable),
@@ -356,12 +337,6 @@ def repair_wcnf(m: SystemModel, rules) -> str:
     hard = list(grounder.base_clauses)
     for rule in rules:
         hard.extend(grounder.ground(dsl.Not(rule.formula)))
-    softs = grounder.soft_assertions()
-    scale = scale_costs([s.cost for s in softs])
-    weighted = []
-    for s in softs:
-        weight = int(s.cost * scale)
-        if weight == 0:
-            continue
-        weighted.append((grounder.soft_clause(s), weight))
+    weighted = [(grounder.soft_clause(s), weight)
+                for s, weight in soft_weights(grounder.soft_assertions())]
     return render_wcnf(grounder.vt.next_var - 1, hard, weighted)

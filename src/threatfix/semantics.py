@@ -75,9 +75,9 @@ def enumerate_paths(m: SystemModel) -> tuple[Path, ...]:
 class _Ctx:
     """Model views shared across one evaluation: closure, assets, paths."""
 
-    def __init__(self, m: SystemModel, valuation: Optional[Mapping] = None):
+    def __init__(self, m: SystemModel):
         self.m = m
-        self.valuation = m.valuation if valuation is None else valuation
+        self.valuation: Mapping = m.valuation
         self.bstar = set(transitive_containment(m))
         self.held = set(m.asset_rel)
         self._paths: Optional[tuple[Path, ...]] = None
@@ -213,6 +213,7 @@ def brute_force_min_repair(
             raise OracleBoundError(
                 f"valuation space exceeds the oracle bound of {bound}")
     best: Optional[tuple[Fraction, dict]] = None
+    ctx = _Ctx(m)   # structure only; each candidate replaces the valuation
     for values in itertools.product(*domains):
         candidate = dict(zip(cells, values))
         cost = Fraction(0)
@@ -222,7 +223,7 @@ def brute_force_min_repair(
                 cost += m.cost(item, attr, old, new)
         if best is not None and cost >= best[0]:
             continue
-        ctx = _Ctx(m, valuation=candidate)
+        ctx.valuation = candidate
         if all(not _eval(ctx, phi, {}) for phi in formulas):
             best = (cost, candidate)
     return best

@@ -14,9 +14,9 @@ from __future__ import annotations
 from typing import Optional
 
 from . import dsl
-from .encoder import (AndN, ExistsSlots, LenAtLeast, LenIs, OrN, SlotAcyclic,
-                      SlotChain, SlotConnEq, SlotSrcEq, SlotTgtEq, scale_costs,
-                      soft_assertions, translate)
+from .encoder import (AndN, ExistsSlots, Grounder, LenAtLeast, LenIs, OrN,
+                      SlotAcyclic, SlotChain, SlotConnEq, SlotSrcEq, SlotTgtEq,
+                      soft_weights, translate)
 from .model import ASSET, BOUNDARY, CONNECTOR, ELEMENT, SystemModel, transitive_containment
 
 _ID_SORT = {ELEMENT: "ElemId", CONNECTOR: "ConnId", ASSET: "AssetId", BOUNDARY: "BoundId"}
@@ -155,12 +155,7 @@ class _Emitter:
                         self.out(f"(assert (= {cell} {_value_sym(self.sentinel)}))")
 
     def soft_costs(self) -> None:
-        softs = soft_assertions(self.m)
-        scale = scale_costs([s.cost for s in softs])
-        for s in softs:
-            weight = int(s.cost * scale)
-            if weight == 0:
-                continue
+        for s, weight in soft_weights(Grounder(self.m).soft_assertions()):
             kind = self.m.kind_of(s.item)
             cell = f"({_ATTR_FUN[kind]} {_id_sym(s.item)} {_attr_sym(s.attr)})"
             self.out(f"(assert-soft (not (= {cell} {_value_sym(s.value)})) "

@@ -205,8 +205,19 @@ def test_partial_repair_smarthome(smarthome, iot_rules):
 
 
 def test_partial_equals_exact_when_nothing_is_excluded(motivating, two_rules):
-    assert partial_repair(motivating, two_rules).total_cost == \
-        minimal_repair(motivating, two_rules).total_cost
+    assert partial_repair(motivating, two_rules).to_json() == \
+        minimal_repair(motivating, two_rules).to_json()
+    rng = random.Random(79)
+    for _ in range(40):
+        m = random_model(rng, max_elements=4, max_connectors=4,
+                         max_attrs=2, max_domain=3)
+        m = load_costs(m, random_costs(rng, m))
+        rules = []
+        while len(rules) < 2:
+            phi = random_closed_formula(rng, m, depth=3)
+            if dsl.has_attr(phi):
+                rules.append(dsl.Rule(f"r{len(rules)}", phi))
+        assert partial_repair(m, rules).to_json() == minimal_repair(m, rules).to_json()
 
 
 def test_partial_repair_unsat_remainder():
@@ -240,6 +251,27 @@ def test_partial_repair_fuzz_invariants():
                 assert not evaluate(fixed, by_name[name].formula)
             total = sum((c.cost for c in report.changes), Fraction(0))
             assert total == report.total_cost
+
+
+def test_zero_cost_changes_are_reported_only_when_needed(motivating, two_rules):
+    # a free logging flip must not ride along with the encryption fix; in
+    # heuristic mode it would also re-trigger the settled phone rule
+    m = load_costs(motivating, (
+        "item,attribute,from,to,cost\n"
+        "webserver,Data Encryption,None,Weak,20\n"
+        "webserver,Data Encryption,None,Strong,30\n"
+        "webserver,Data Logging,Yes,No,0\n"))
+    enc_none = dsl.parse_rules(
+        'rule enc_none : exists element e . '
+        'type(e) = "WebServer" and val(e, "Data Encryption") = "None"\n')
+    phone = tuple(r for r in two_rules if r.name == "phone_reaches_unlogged_server")
+    fix = (Change("webserver", "Data Encryption", "None", "Weak", Fraction(20)),)
+    for rules in (enc_none, phone + enc_none):
+        for mode in ("exact", "partial", "heuristic"):
+            report = repair(m, rules, EngineConfig(mode=mode))
+            assert report.status == "sat"
+            assert report.changes == fix and report.total_cost == Fraction(20)
+            assert report.repaired == ("enc_none",) and report.unrepairable == ()
 
 
 # -- heuristic repair -------------------------------------------------------------

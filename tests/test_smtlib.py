@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from threatfix import dsl, load_costs, parse_model
+from threatfix import dsl, load_costs, parse_model, repair_wcnf
 from threatfix.smtlib import emit_smtlib
 
 from conftest import data_text
@@ -70,6 +70,18 @@ def test_fractional_costs_scale_to_integers():
     assert ":weight 2)" in rep    # 1/2 scaled by 4
     assert ":weight 3)" in rep
     assert ":weight 4)" in rep    # default 1 scaled by 4
+    # a zero-cost row drops its assertion; both exports weigh the rest alike
+    m = load_costs(m, "item,attribute,from,to,cost\nwebserver,Data Logging,Yes,No,0\n")
+    rep = emit_smtlib(m, (), mode="repair")
+    smt_weights = [int(ln.rsplit(" ", 1)[1].rstrip(")"))
+                   for ln in rep.splitlines() if ln.startswith("(assert-soft ")]
+    wcnf = repair_wcnf(m, ()).splitlines()
+    top = int(wcnf[0].split()[4])
+    wcnf_weights = [int(ln.split()[0]) for ln in wcnf[1:]
+                    if int(ln.split()[0]) != top]
+    assert smt_weights == wcnf_weights
+    assert smt_weights and 0 not in smt_weights
+    assert "Data Logging| |v.No|" not in rep   # the zero-cost assertion is dropped
 
 
 def test_rule_types_and_slots(smarthome, iot_rules):
