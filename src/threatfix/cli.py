@@ -199,8 +199,10 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 2
             if args.smtlib:
+                # render first, so that an error leaves no empty file behind
+                text = emit_smtlib(m, rules, mode="check")
                 with open(args.smtlib, "w", encoding="utf-8") as fh:
-                    fh.write(emit_smtlib(m, rules, mode="check"))
+                    fh.write(text)
             if args.wcnf:
                 with open(args.wcnf, "w", encoding="utf-8") as fh:
                     fh.write(engine.repair_wcnf(m, rules))

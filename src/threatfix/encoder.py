@@ -4,10 +4,11 @@ Attribute cells become one-hot variable blocks; fixed structure (types,
 endpoints, containment, assets) is evaluated away while grounding.  Path
 quantifiers in positive positions get the slot encoding: n-1 one-hot
 connector slots plus a one-hot length selector, guarded by chaining and
-acyclicity constraints.  Negative positions are expanded over the model's
-concrete path set instead, which keeps the encoding equivalent (the slot
-form is only equisatisfiable, so it must not be negated).  CNF conversion is
-a polarity-reduced Tseitin transform; its auxiliary variables are allocated
+acyclicity constraints (smtlib renders the SMT-LIB form of the same slots
+on its own).  Negative positions are expanded over the model's concrete path
+set instead, which keeps the encoding equivalent (the slot form is only
+equisatisfiable, so it must not be negated).  CNF conversion is a
+polarity-reduced Tseitin transform; its auxiliary variables are allocated
 after the semantic ones.
 
 Quantifiers are instantiated guard-first.  Each item quantifier, and each
@@ -18,14 +19,15 @@ be dropped by the disjunction anyway, so the clauses are unchanged.  A guard
 on a path variable bound to a slot block is not structural and is not used.
 Folding also stops once a result is decided: `or` returns true without
 building its right side when its left side folds to true, and a quantifier
-stops at its first true instance.
+stops at its first true instance.  soft_weights turns change costs into
+integer weights for the engine and both exporters.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from . import dsl
 from .model import SystemModel, transitive_containment
@@ -405,125 +407,6 @@ def soft_weights(softs: list[SoftAssertion]) -> list[tuple[SoftAssertion, int]]:
     """Integer weights: costs scaled by their LCD, zero-cost assertions dropped."""
     scale = scale_costs(s.cost for s in softs)
     return [(s, int(s.cost * scale)) for s in softs if s.cost != 0]
-
-
-# -- path-quantifier elimination (first-order form, used by the exporters) ----
-
-@dataclass(frozen=True)
-class AndN:
-    children: tuple
-
-
-@dataclass(frozen=True)
-class OrN:
-    children: tuple
-
-
-@dataclass(frozen=True)
-class ExistsSlots:
-    """Binds slot_count connector slots and a length selector for `var`."""
-    var: str
-    slot_count: int
-    body: object
-
-
-@dataclass(frozen=True)
-class SlotSrcEq:      # s(x_p^i) = elem
-    path: str
-    index: int
-    elem: str
-
-
-@dataclass(frozen=True)
-class SlotTgtEq:
-    path: str
-    index: int
-    elem: str
-
-
-@dataclass(frozen=True)
-class SlotConnEq:     # x_p^i = conn
-    path: str
-    index: int
-    conn: str
-
-
-@dataclass(frozen=True)
-class SlotChain:      # t(x_p^{i-1}) = s(x_p^i)
-    path: str
-    index: int
-
-
-@dataclass(frozen=True)
-class SlotAcyclic:    # t(x_p^i) != s(x_p^j)
-    path: str
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
-class LenIs:
-    path: str
-    k: int
-
-
-@dataclass(frozen=True)
-class LenAtLeast:
-    path: str
-    k: int
-
-
-T_TRUE = AndN(())
-T_FALSE = OrN(())
-
-
-def translate(phi, n: int, env: Optional[dict[str, str]] = None):
-    """Eliminate path quantifiers for a model with n elements.
-
-    Path predicates become constraints over n-1 bound connector slots and a
-    length selector; everything else maps through unchanged.  `env` tracks
-    variable sorts so the in-path expansion only emits well-sorted disjuncts.
-    """
-    env = env if env is not None else {}
-    if isinstance(phi, dsl.PathSrcIs):
-        return SlotSrcEq(phi.path, 1, phi.elem)
-    if isinstance(phi, dsl.PathTgtIs):
-        return OrN(tuple(AndN((LenIs(phi.path, i), SlotTgtEq(phi.path, i, phi.elem)))
-                         for i in range(1, n)))
-    if isinstance(phi, dsl.InPath):
-        if env.get(phi.item) == dsl.CONNECTOR:
-            def member(i):
-                return SlotConnEq(phi.path, i, phi.item)
-        else:
-            def member(i):
-                return OrN((SlotSrcEq(phi.path, i, phi.item),
-                            SlotTgtEq(phi.path, i, phi.item)))
-        return OrN(tuple(AndN((LenAtLeast(phi.path, i), member(i)))
-                         for i in range(1, n)))
-    if isinstance(phi, dsl.PRED_TYPES):
-        return phi
-    if isinstance(phi, dsl.Not):
-        return dsl.Not(translate(phi.body, n, env))
-    if isinstance(phi, dsl.Or):
-        return dsl.Or(translate(phi.left, n, env), translate(phi.right, n, env))
-    if isinstance(phi, dsl.ExistsItem):
-        inner = dict(env)
-        inner[phi.var] = phi.sort
-        return dsl.ExistsItem(phi.var, phi.sort, translate(phi.body, n, inner))
-    if isinstance(phi, dsl.ExistsPath):
-        if n <= 1:
-            return T_FALSE
-        inner = dict(env)
-        inner[phi.var] = dsl.PATH
-        guards = []
-        for i in range(1, n):
-            per_slot = [SlotAcyclic(phi.var, i, j) for j in range(1, i + 1)]
-            if i >= 2:
-                per_slot.append(SlotChain(phi.var, i))
-            guards.append(OrN((dsl.Not(LenAtLeast(phi.var, i)), AndN(tuple(per_slot)))))
-        return ExistsSlots(phi.var, n - 1,
-                           AndN(tuple(guards) + (translate(phi.body, n, inner),)))
-    raise dsl.DslError(f"not a formula node: {phi!r}")
 
 
 # -- WCNF rendering -----------------------------------------------------------

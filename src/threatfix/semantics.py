@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Union
 
 from . import dsl
@@ -204,6 +205,7 @@ def brute_force_min_repair(
     formulas = list(formulas)
     cells = sorted(m.valuation)
     domains = []
+    changes = []   # per cell: change cost of each value of its domain
     space = 1
     for item, attr in cells:
         domain = m.meta.attribute(attr).domain
@@ -212,18 +214,20 @@ def brute_force_min_repair(
         if space > bound:
             raise OracleBoundError(
                 f"valuation space exceeds the oracle bound of {bound}")
-    best: Optional[tuple[Fraction, dict]] = None
+        old = m.valuation[(item, attr)]
+        changes.append({new: m.cost(item, attr, old, new) if new != old else Fraction(0)
+                        for new in domain})
+    # sum candidate costs as integers, in units of the costs' common denominator
+    scale = lcm(*(c.denominator for row in changes for c in row.values()))
+    int_changes = [{v: int(c * scale) for v, c in row.items()} for row in changes]
+    best: Optional[tuple[int, dict]] = None
     ctx = _Ctx(m)   # structure only; each candidate replaces the valuation
     for values in itertools.product(*domains):
-        candidate = dict(zip(cells, values))
-        cost = Fraction(0)
-        for (item, attr), new in candidate.items():
-            old = m.valuation[(item, attr)]
-            if old != new:
-                cost += m.cost(item, attr, old, new)
+        cost = sum(row[v] for row, v in zip(int_changes, values))
         if best is not None and cost >= best[0]:
             continue
+        candidate = dict(zip(cells, values))
         ctx.valuation = candidate
         if all(not _eval(ctx, phi, {}) for phi in formulas):
             best = (cost, candidate)
-    return best
+    return None if best is None else (Fraction(best[0], scale), best[1])

@@ -160,6 +160,33 @@ def test_export_smtlib_only(capsys, tmp_path):
     assert smt.read_text().startswith("; system model encoding\n")
 
 
+def test_export_matches_golden_files(capsys, tmp_path):
+    smt, wcnf = tmp_path / "m.smt2", tmp_path / "m.wcnf"
+    code, out, err = run(capsys, "export", "--model", MOTIVATING, "--rules", TWO,
+                         "--costs", ENC, "--smtlib", str(smt), "--wcnf", str(wcnf))
+    assert (code, out, err) == (0, "", "")
+    assert smt.read_bytes() == (DATA / "golden" / "motivating.check.smt2").read_bytes()
+    assert wcnf.read_bytes() == (DATA / "golden" / "motivating.wcnf").read_bytes()
+
+
+def test_export_symbol_collision_exits_two(capsys, tmp_path):
+    doc = {
+        "meta": {"elementTypes": ["Host"], "connectorTypes": [],
+                 "assetTypes": [], "boundaryTypes": [], "attributes": []},
+        "elements": [{"id": i, "type": "Host", "attrs": {}}
+                     for i in ("a|b", "a_b", "t.Host")],
+        "connectors": [], "assets": [], "boundaries": [],
+    }
+    model, smt = tmp_path / "m.json", tmp_path / "m.smt2"
+    model.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "export", "--model", str(model), "--rules", IOT,
+                         "--smtlib", str(smt))
+    assert code == 2 and out == ""
+    assert err == ("error: element 'a_b' and element 'a|b' both export as "
+                   "SMT-LIB symbol |a_b|\n")
+    assert not smt.exists()
+
+
 def test_export_requires_a_target(capsys):
     code, _, err = run(capsys, "export", "--model", SMARTHOME, "--rules", IOT)
     assert code == 2

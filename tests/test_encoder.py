@@ -6,10 +6,7 @@ from fractions import Fraction
 import pytest
 
 from threatfix import dsl, parse_model
-from threatfix.encoder import (
-    AndN, ExistsSlots, Grounder, LenAtLeast, LenIs, OrN, SlotConnEq,
-    SlotSrcEq, SlotTgtEq, T_FALSE, render_wcnf, scale_costs, translate,
-)
+from threatfix.encoder import Grounder, render_wcnf, scale_costs
 from threatfix.engine import minimal_repair
 from threatfix.sat import SolverStack, solve_clauses
 from threatfix.semantics import enumerate_paths, evaluate
@@ -110,41 +107,6 @@ def test_scale_costs():
     assert scale_costs([Fraction(1, 2), Fraction(3, 2)]) == 2
     assert scale_costs([Fraction(1, 3), Fraction(1, 4)]) == 12
     assert scale_costs([Fraction(5, 6), Fraction(3, 4)]) == 12
-
-
-def test_translate_no_paths_when_single_element():
-    phi = dsl.ExistsPath("p", dsl.PathSrcIs("p", "e"))
-    assert translate(phi, 1) == T_FALSE
-    out = translate(dsl.ExistsItem("e", "element", phi), 1)
-    assert out == dsl.ExistsItem("e", "element", T_FALSE)
-
-
-def test_translate_positive_path_shape():
-    phi = dsl.parse_formula('exists path p . exists element e . src(p) = e')
-    out = translate(phi, 4)
-    assert isinstance(out, ExistsSlots)
-    assert out.var == "p" and out.slot_count == 3
-    assert isinstance(out.body, AndN)
-    # guards for each slot index, then the translated body
-    assert len(out.body.children) == 4
-    inner = out.body.children[-1]
-    assert inner == dsl.ExistsItem("e", "element", SlotSrcEq("p", 1, "e"))
-
-
-def test_translate_tgt_expands_over_lengths():
-    phi = dsl.PathTgtIs("p", "e")
-    out = translate(phi, 4, {"p": "path", "e": "element"})
-    assert out == OrN(tuple(AndN((LenIs("p", i), SlotTgtEq("p", i, "e")))
-                            for i in (1, 2, 3)))
-
-
-def test_translate_in_path_respects_sort():
-    conn = translate(dsl.InPath("c", "p"), 3, {"c": "connector", "p": "path"})
-    assert conn == OrN((AndN((LenAtLeast("p", 1), SlotConnEq("p", 1, "c"))),
-                        AndN((LenAtLeast("p", 2), SlotConnEq("p", 2, "c")))))
-    elem = translate(dsl.InPath("e", "p"), 3, {"e": "element", "p": "path"})
-    first = elem.children[0].children[1]
-    assert first == OrN((SlotSrcEq("p", 1, "e"), SlotTgtEq("p", 1, "e")))
 
 
 def test_slot_assignments_decode_to_exactly_the_paths():
