@@ -6,6 +6,7 @@ impossible, 2 usage or input errors, 3 solver budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -14,13 +15,14 @@ from typing import Optional
 from . import engine
 from .dsl import DslError, parse_rules
 from .model import ModelError, load_costs, parse_model
-from .sat import SAT, UNKNOWN
+from .sat import SAT, UNKNOWN, UNSAT
 from .semantics import Path
 from .smtlib import emit_smtlib
 
 _BUDGET_ENV = "THREATFIX_BUDGET"
 
 
+@functools.cache   # built on first use, not at import, so importing stays cheap
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="threatfix",
@@ -58,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, as spreadsheet exports write
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
@@ -153,46 +156,18 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _check_exit(report) -> int:
-    if any(r.matched for r in report.results):
-        return 1
-    if any(r.verdict == UNKNOWN for r in report.results):
-        return 3
-    return 0
-
-
-def _repair_exit(report) -> int:
-    if report.status == SAT:
-        return 0
-    if report.status == UNKNOWN:
-        return 3
-    return 1
+# exit code by report status; a check's status ranks a match above unknown
+_CHECK_EXITS = {SAT: 1, UNKNOWN: 3, UNSAT: 0}
+_REPAIR_EXITS = {SAT: 0, UNKNOWN: 3, UNSAT: 1}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         m, rules = _load(args)
-        if args.command in ("check", "explain"):
-            config = _config(args)
-            report = engine.check(m, rules, config)
-            if args.format == "json":
-                _emit(args, _json_text(report.to_json()))
-            else:
-                _emit(args, _check_text(report))
-            return _check_exit(report)
-        if args.command == "repair":
-            config = _config(args, mode=args.mode)
-            report = engine.repair(m, rules, config)
-            if args.format == "json":
-                _emit(args, _json_text(report.to_json()))
-            else:
-                _emit(args, _repair_text(report))
-            return _repair_exit(report)
         if args.command == "export":
             if not args.smtlib and not args.wcnf:
                 print("error: export needs --smtlib and/or --wcnf",
@@ -207,11 +182,16 @@ def main(argv=None) -> int:
                 with open(args.wcnf, "w", encoding="utf-8") as fh:
                     fh.write(engine.repair_wcnf(m, rules))
             return 0
-        raise AssertionError(args.command)
-    except (ModelError, DslError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        if args.command == "repair":
+            report = engine.repair(m, rules, _config(args, mode=args.mode))
+            render, exits = _repair_text, _REPAIR_EXITS
+        else:   # check and explain
+            report = engine.check(m, rules, _config(args))
+            render, exits = _check_text, _CHECK_EXITS
+        _emit(args, _json_text(report.to_json()) if args.format == "json"
+              else render(report))
+        return exits[report.status]
+    except (ModelError, DslError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 from .model import ASSET, BOUNDARY, CONNECTOR, ELEMENT
 
@@ -273,120 +273,54 @@ _ARG_SORTS = {
 }
 
 
-def _check_arg(env: dict[str, str], predicate: str, pos: int, var: str) -> str:
-    if var not in env:
-        raise SortError(f"unbound variable {var!r} in {predicate}", var=var,
-                        predicate=predicate)
-    sort = env[var]
-    allowed = _ARG_SORTS[(predicate, pos)]
-    if sort not in allowed:
-        raise SortError(
-            f"variable {var!r} has sort {sort}, but {predicate} needs "
-            f"{' or '.join(sorted(allowed))}", var=var, predicate=predicate)
-    return sort
-
-
-def check_well_sorted(phi: Formula, env: Optional[dict[str, str]] = None) -> None:
-    """Raise SortError on unbound variables, sort clashes, or rebinding."""
-    env = dict(env or {})
-    if isinstance(phi, TypeIs):
-        _check_arg(env, "type", 0, phi.var)
-    elif isinstance(phi, ValIs):
-        _check_arg(env, "val", 0, phi.var)
-    elif isinstance(phi, (SrcIs, TgtIs)):
-        name = "src" if isinstance(phi, SrcIs) else "tgt"
-        if _check_arg(env, name, 0, phi.conn) != CONNECTOR:
-            raise SortError(f"variable {phi.conn!r} has sort path here; use the path form",
-                            var=phi.conn, predicate=name)
-        _check_arg(env, name, 1, phi.elem)
-    elif isinstance(phi, (PathSrcIs, PathTgtIs)):
-        name = "src" if isinstance(phi, PathSrcIs) else "tgt"
-        if _check_arg(env, name, 0, phi.path) != PATH:
-            raise SortError(f"variable {phi.path!r} is not a path variable",
-                            var=phi.path, predicate=name)
-        _check_arg(env, name, 1, phi.elem)
-    elif isinstance(phi, InPath):
-        _check_arg(env, "in", 0, phi.item)
-        _check_arg(env, "in", 1, phi.path)
-    elif isinstance(phi, Connects):
-        _check_arg(env, "connector", 0, phi.elem)
-        _check_arg(env, "connector", 1, phi.conn)
-    elif isinstance(phi, Crosses):
-        _check_arg(env, "crosses", 0, phi.conn)
-        _check_arg(env, "crosses", 1, phi.boundary)
-    elif isinstance(phi, Contained):
-        _check_arg(env, "contained", 0, phi.inner)
-        _check_arg(env, "contained", 1, phi.boundary)
-    elif isinstance(phi, Holds):
-        _check_arg(env, "holds", 0, phi.holder)
-        _check_arg(env, "holds", 1, phi.asset)
-    elif isinstance(phi, Not):
-        check_well_sorted(phi.body, env)
-    elif isinstance(phi, Or):
-        check_well_sorted(phi.left, env)
-        check_well_sorted(phi.right, env)
-    elif isinstance(phi, (ExistsItem, ExistsPath)):
-        if phi.var in env:
-            raise SortError(f"variable {phi.var!r} is already bound", var=phi.var)
-        sort = phi.sort if isinstance(phi, ExistsItem) else PATH
-        if sort not in SORTS:
-            raise SortError(f"unknown sort {sort!r} for variable {phi.var!r}", var=phi.var)
-        env[phi.var] = sort
-        check_well_sorted(phi.body, env)
-    else:
-        raise DslError(f"not a formula node: {phi!r}")
-
-
 # -- lexer --------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Token:
+    """A token and its offset into the source text.
+
+    Only an error needs a line and column; _line_col derives them from pos.
+    """
     kind: str          # IDENT | STR | PUNCT | EOF
     text: str
-    line: int
-    col: int
+    pos: int
 
 
 _TOKEN_RE = re.compile(r"""
-      (?P<ws>\s+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<str>"[^"\n]*")
-    | (?P<punct>!=|[().,=:])
-""", re.VERBOSE)
+      (?P<SKIP>\s+|\#[^\n]*)
+    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<STR>"[^"\n]*")
+    | (?P<PUNCT>!=|[().,=:])
+    | (?P<BAD>.)
+""", re.VERBOSE | re.DOTALL)
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of offset pos in text."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise RuleSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        group = match.lastgroup
-        value = match.group()
-        if group == "ident":
-            tokens.append(_Token("IDENT", value, line, col))
-        elif group == "str":
-            tokens.append(_Token("STR", value[1:-1], line, col))
-        elif group == "punct":
-            tokens.append(_Token("PUNCT", value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = match.end()
-    tokens.append(_Token("EOF", "", line, col))
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "STR":
+            tokens.append(_Token(kind, match.group()[1:-1], match.start()))
+        elif kind == "BAD":
+            raise RuleSyntaxError(f"unexpected character {match.group()!r}",
+                                  *_line_col(text, match.start()))
+        elif kind != "SKIP":
+            tokens.append(_Token(kind, match.group(), match.start()))
+    tokens.append(_Token("EOF", "", len(text)))
     return tokens
 
 
 # -- parser ---------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def peek(self) -> _Token:
@@ -398,8 +332,8 @@ class _Parser:
         return tok
 
     def error(self, message: str) -> RuleSyntaxError:
-        tok = self.peek()
-        return RuleSyntaxError(message, tok.line, tok.col)
+        """A syntax error at the next token."""
+        return RuleSyntaxError(message, *_line_col(self.text, self.peek().pos))
 
     def at_keyword(self, word: str) -> bool:
         tok = self.peek()
@@ -422,7 +356,7 @@ class _Parser:
         if tok.kind != "IDENT" or tok.text in KEYWORDS:
             raise self.error(f"expected a variable, found {tok.text or 'end of input'!r}")
         if tok.text not in env:
-            raise RuleSyntaxError(f"unbound variable {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"unbound variable {tok.text!r}")
         self.next()
         return tok.text, env[tok.text]
 
@@ -430,9 +364,10 @@ class _Parser:
                    tok: _Token) -> None:
         allowed = _ARG_SORTS[(predicate, pos)]
         if sort not in allowed:
+            line, col = _line_col(self.text, tok.pos)
             raise SortError(
                 f"variable {var!r} has sort {sort}, but {predicate} needs "
-                f"{' or '.join(sorted(allowed))} (line {tok.line}, column {tok.col})",
+                f"{' or '.join(sorted(allowed))} (line {line}, column {col})",
                 var=var, predicate=predicate)
 
     # formula := or_expr ('implies' formula)?          (right associative)
@@ -475,8 +410,7 @@ class _Parser:
         if var_tok.kind != "IDENT" or var_tok.text in KEYWORDS:
             raise self.error(f"expected a variable name, found {var_tok.text!r}")
         if var_tok.text in env:
-            raise RuleSyntaxError(f"variable {var_tok.text!r} is already bound",
-                                  var_tok.line, var_tok.col)
+            raise self.error(f"variable {var_tok.text!r} is already bound")
         self.next()
         self.expect_punct(".")
         inner = dict(env)
@@ -558,7 +492,7 @@ class _Parser:
 
 def parse_formula(text: str) -> Formula:
     """Parse a single closed formula."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     phi = parser.formula({})
     if parser.peek().kind != "EOF":
         raise parser.error(f"unexpected trailing input {parser.peek().text!r}")
@@ -567,7 +501,7 @@ def parse_formula(text: str) -> Formula:
 
 def parse_rules(text: str) -> tuple[Rule, ...]:
     """Parse a rule file: stanzas of `rule NAME : formula`, # comments."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     rules: list[Rule] = []
     seen: set[str] = set()
     while parser.peek().kind != "EOF":
@@ -578,8 +512,7 @@ def parse_rules(text: str) -> tuple[Rule, ...]:
         if name_tok.kind != "IDENT" or name_tok.text in KEYWORDS:
             raise parser.error("expected a rule name")
         if name_tok.text in seen:
-            raise RuleSyntaxError(f"duplicate rule name {name_tok.text!r}",
-                                  name_tok.line, name_tok.col)
+            raise parser.error(f"duplicate rule name {name_tok.text!r}")
         parser.next()
         parser.expect_punct(":")
         rules.append(Rule(name_tok.text, parser.formula({})))

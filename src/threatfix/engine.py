@@ -7,10 +7,11 @@ plus a SolverStack):
 - repair step: the cheapest valuation that makes a set of formulas false,
   costed from a given valuation.  A zero-cost change is kept only if needed.
 
-check makes one pinned check per rule.  Exact repair (minimal_repair) is one
-repair step over every rule; unsat means no attribute change falsifies them
-all.  Partial repair (partial_repair) first sets aside the matched rules that
-have no attribute predicate and reports them unrepairable, with witnesses.
+check makes one pinned check per rule.  Exact repair (minimal_repair) runs
+that detection, then one repair step over every rule in the same session;
+unsat means no attribute change falsifies them all.  Partial repair
+(partial_repair) first sets aside the matched rules that have no attribute
+predicate and reports them unrepairable, with witnesses.
 Heuristic repair (heuristic_partial_repair) takes the rules in file order
 against an evolving valuation: a pinned check, a repair step for that rule
 alone, and a pinned check that the fix re-triggers no settled rule.  Faster,
@@ -146,24 +147,19 @@ def _witness_json(w: Witness) -> dict:
 class _Session:
     """One Grounder plus SolverStack; its two operations serve every mode."""
 
-    def __init__(self, m: SystemModel, config: EngineConfig, pin_base: bool = False):
+    def __init__(self, m: SystemModel, config: EngineConfig):
         self.m = m
+        self.config = config
         self.grounder = Grounder(m)
         self.stack = SolverStack(seed=config.seed,
                                  conflict_budget=config.conflict_budget)
         self.stack.add(self.grounder.base_clauses)
-        if pin_base:
-            self.stack.add(self.grounder.pin_clauses())
 
-    def holds(self, phi: dsl.Formula, valuation=None) -> str:
-        """Pinned check: verdict of phi with every cell pinned to `valuation`.
-
-        Without a valuation the pins are the ones the base already holds.
-        """
+    def holds(self, phi: dsl.Formula, valuation) -> str:
+        """Pinned check: verdict of phi with every cell pinned to `valuation`."""
         stack = self.stack
         stack.push()
-        if valuation is not None:
-            stack.add(self.grounder.pin_clauses(valuation))
+        stack.add(self.grounder.pin_clauses(valuation))
         stack.add(self.grounder.ground(phi))
         verdict = stack.solve()
         stack.pop()
@@ -211,23 +207,29 @@ def _changes_between(m: SystemModel, old: dict,
     return tuple(changes), sum((c.cost for c in changes), Fraction(0))
 
 
-def check(m: SystemModel, rules, config: EngineConfig = EngineConfig()) -> CheckReport:
-    session = _Session(m, config, pin_base=True)
+def _detect(session: _Session, rules) -> CheckReport:
+    """One pinned check per rule on the model's own valuation."""
+    m, cap = session.m, session.config.max_witnesses
     results = []
     for rule in rules:
-        verdict = session.holds(rule.formula)
+        verdict = session.holds(rule.formula, m.valuation)
         found: tuple[Witness, ...] = ()
         if verdict == SAT:
-            found = witnesses(m, rule.formula, rule.name, cap=config.max_witnesses)
+            found = witnesses(m, rule.formula, rule.name, cap=cap)
         results.append(RuleCheck(rule.name, verdict, found))
     return CheckReport(tuple(results))
+
+
+def check(m: SystemModel, rules, config: EngineConfig = EngineConfig()) -> CheckReport:
+    return _detect(_Session(m, config), rules)
 
 
 def _joint_repair(m: SystemModel, rules, config: EngineConfig,
                   set_aside_structural: bool) -> RepairReport:
     """One repair step over all rules, minus those set aside as unrepairable."""
     rules = list(rules)
-    detection = check(m, rules, config)
+    session = _Session(m, config)
+    detection = _detect(session, rules)
     if any(r.verdict == UNKNOWN for r in detection.results):
         return RepairReport(UNKNOWN, None, ())
     no_threat = tuple(r.rule for r in detection.results if not r.matched)
@@ -238,7 +240,7 @@ def _joint_repair(m: SystemModel, rules, config: EngineConfig,
             (excluded if structural else keep).append(result)
     aside = tuple(r.rule for r in excluded)
     wits = {r.rule: r.witnesses for r in excluded}
-    verdict, found = _Session(m, config).falsify(
+    verdict, found = session.falsify(
         [rule.formula for rule in rules if rule.name not in aside], m.valuation)
     if verdict == UNKNOWN:
         return RepairReport(UNKNOWN, None, (), no_threat=no_threat,

@@ -138,6 +138,64 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert doc["status"] == "sat"
 
 
+_GOLDEN_INPUTS = {
+    "smarthome": ("--model", SMARTHOME, "--rules", IOT),
+    "motivating": ("--model", MOTIVATING, "--rules", TWO, "--costs", ENC),
+}
+_GOLDEN_COMMANDS = {
+    "check": ("check",),
+    "explain": ("explain",),
+    "repair-exact": ("repair", "--mode", "exact"),
+    "repair-partial": ("repair", "--mode", "partial"),
+    "repair-heuristic": ("repair", "--mode", "heuristic"),
+}
+
+
+@pytest.mark.parametrize("name, stem, fmt, exit_code", [
+    ("smarthome", "check", "text", 1),
+    ("smarthome", "check", "json", 1),
+    ("smarthome", "explain", "text", 1),
+    ("smarthome", "repair-exact", "text", 1),
+    ("smarthome", "repair-exact", "json", 1),
+    ("smarthome", "repair-partial", "text", 0),
+    ("smarthome", "repair-partial", "json", 0),
+    ("smarthome", "repair-heuristic", "text", 0),
+    ("smarthome", "repair-heuristic", "json", 0),
+    ("motivating", "check", "text", 1),
+    ("motivating", "check", "json", 1),
+    ("motivating", "explain", "text", 1),
+    ("motivating", "repair-exact", "text", 0),
+    ("motivating", "repair-exact", "json", 0),
+    ("motivating", "repair-partial", "text", 0),
+    ("motivating", "repair-partial", "json", 0),
+    ("motivating", "repair-heuristic", "text", 0),
+    ("motivating", "repair-heuristic", "json", 0),
+])
+def test_reports_match_golden_files(capsys, name, stem, fmt, exit_code):
+    code, out, err = run(capsys, *_GOLDEN_COMMANDS[stem], *_GOLDEN_INPUTS[name],
+                         "--format", fmt)
+    golden = DATA / "golden" / f"{name}.{stem}.{'txt' if fmt == 'text' else 'json'}"
+    assert (code, err) == (exit_code, "")
+    assert out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--model", "--rules", "--costs"])
+def test_byte_order_mark_is_accepted(capsys, tmp_path, flag):
+    files = {"--model": MOTIVATING, "--rules": TWO, "--costs": ENC}
+    with open(files[flag], "rb") as fh:
+        content = fh.read()
+    marked = tmp_path / "marked"
+    marked.write_bytes(b"\xef\xbb\xbf" + content)
+    files[flag] = str(marked)
+    argv = ["repair", "--mode", "exact"]
+    for name, path in files.items():
+        argv += [name, path]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == \
+        (DATA / "golden" / "motivating.repair-exact.txt").read_bytes()
+
+
 def test_export_files_are_stable(capsys, tmp_path):
     smt1, smt2 = tmp_path / "a.smt2", tmp_path / "b.smt2"
     wcnf1, wcnf2 = tmp_path / "a.wcnf", tmp_path / "b.wcnf"

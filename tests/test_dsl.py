@@ -5,9 +5,9 @@ from hypothesis import given, strategies as st
 
 from threatfix import dsl
 from threatfix.dsl import (
-    Contained, Crosses, DslError, ExistsItem, ExistsPath, Holds, InPath, Not,
+    Contained, Crosses, ExistsItem, ExistsPath, Holds, InPath, Not,
     Or, PathSrcIs, PathTgtIs, RuleSyntaxError, SortError, SrcIs, TgtIs,
-    TypeIs, ValIs, check_well_sorted, free_vars, guards, has_attr,
+    TypeIs, ValIs, free_vars, guards, has_attr,
     parse_formula, parse_rules, print_formula, print_rules,
 )
 
@@ -120,6 +120,44 @@ def test_unbound_variable_has_position():
     assert exc.value.col > 1
 
 
+# a comment line and CRLF line ends before every case, so that positions
+# count lines across both and restart columns after "\r\n"
+_PREFIX = ('# leading comment\r\n'
+           'rule ok : exists element e .\r\n'
+           '  type(e) = "A"\n')
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ('rule r : exists element e . type(e) = "A" & type(e) = "B"\n',
+     "unexpected character '&'", 4, 43),
+    ('rule r :\r\n  exists element e . type(x) = "A"\n',
+     "unbound variable 'x'", 5, 27),
+    ('rule r : exists element e .\r\n  exists connector e . type(e) = "A"\n',
+     "variable 'e' is already bound", 5, 20),
+    ('rule ok : exists element e . type(e) = "B"\n',
+     "duplicate rule name 'ok'", 4, 6),
+    ('rule r : exists element e .\r\n  type(e) =',
+     "expected a quoted string, found 'end of input'", 5, 12),
+    ('rule r : exists element e .\r\n  type(e) = # unfinished\r\n',
+     "expected a quoted string, found 'end of input'", 6, 1),
+])
+def test_syntax_error_positions(text, message, line, col):
+    with pytest.raises(RuleSyntaxError) as exc:
+        parse_rules(_PREFIX + text)
+    assert str(exc.value) == f"{message} (line {line}, column {col})"
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_sort_error_position():
+    text = _PREFIX + ('rule r :\n  exists element e .\r\n'
+                      '    exists boundary b . crosses(e, b)\n')
+    with pytest.raises(SortError) as exc:
+        parse_rules(text)
+    assert str(exc.value) == ("variable 'e' has sort element, but crosses needs "
+                              "connector (line 6, column 25)")
+    assert (exc.value.var, exc.value.predicate) == ("e", "crosses")
+
+
 def test_rebinding_rejected():
     with pytest.raises(RuleSyntaxError, match="already bound"):
         parse_formula('exists element e . exists connector e . type(e) = "A"')
@@ -175,20 +213,6 @@ def test_free_vars_and_has_attr():
     assert not has_attr(phi)
     assert free_vars(phi.body) == {"c"}
     assert free_vars(phi.body.body) == {"c", "e"}
-
-
-def test_check_well_sorted_on_hand_built_ast():
-    check_well_sorted(ExistsItem("e", "element", TypeIs("e", "Host")))
-    with pytest.raises(SortError, match="unbound"):
-        check_well_sorted(TypeIs("e", "Host"))
-    with pytest.raises(SortError, match="already bound"):
-        check_well_sorted(ExistsItem("e", "element",
-                                     ExistsPath("e", InPath("e", "e"))))
-    with pytest.raises(SortError):
-        check_well_sorted(ExistsPath("p", ExistsItem("e", "element",
-                                                     SrcIs("p", "e"))))
-    with pytest.raises(DslError, match="not a formula"):
-        check_well_sorted(object())
 
 
 def test_print_formula_round_trip_fixed_cases():
@@ -249,7 +273,6 @@ def _close(body):
 @given(_bodies)
 def test_print_parse_round_trip_property(body):
     phi = _close(body)
-    check_well_sorted(phi)
     assert parse_formula(print_formula(phi)) == phi
 
 
